@@ -8,6 +8,12 @@ the rendered tables.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
+#: Repository root: where the ``BENCH_*.json`` result files live.
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
 
 def run_once(benchmark, fn, *args, **kwargs):
     """Run an experiment exactly once under the benchmark timer.
@@ -16,3 +22,16 @@ def run_once(benchmark, fn, *args, **kwargs):
     wall clock), so a single round is both sufficient and honest.
     """
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
+
+
+def record_bench(filename: str, section: str, payload: dict) -> None:
+    """Merge one section into ``REPO_ROOT / filename`` (atomic enough for CI)."""
+    path = REPO_ROOT / filename
+    data: dict = {}
+    if path.is_file():
+        try:
+            data = json.loads(path.read_text())
+        except json.JSONDecodeError:
+            data = {}
+    data[section] = payload
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")

@@ -15,10 +15,9 @@ trajectory stays tracked in-tree.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
+from benchmarks.conftest import record_bench
 from repro.core.accelerator import ReGraphX
 from repro.core.config import ReGraphXConfig
 from repro.core.mapping import (
@@ -29,7 +28,6 @@ from repro.core.mapping import (
 )
 from repro.core.traffic import GNNTrafficModel
 
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_mapping.json"
 
 CONFIG = ReGraphXConfig()  # the paper's 8x8x3 design point
 
@@ -44,18 +42,6 @@ def _timed(fn, *args, **kwargs) -> float:
     t0 = time.perf_counter()
     fn(*args, **kwargs)
     return time.perf_counter() - t0
-
-
-def _record(section: str, payload: dict) -> None:
-    """Merge one section into BENCH_mapping.json (atomic enough for CI)."""
-    data: dict = {}
-    if BENCH_PATH.is_file():
-        try:
-            data = json.loads(BENCH_PATH.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data[section] = payload
-    BENCH_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def test_incremental_annealer_speedup(benchmark):
@@ -95,7 +81,8 @@ def test_incremental_annealer_speedup(benchmark):
         f"{t_incremental * 1e3:.1f} ms, full {t_full * 1e3:.1f} ms "
         f"-> {speedup:.0f}x speedup"
     )
-    _record(
+    record_bench(
+        "BENCH_mapping.json",
         "annealer",
         {
             "mesh": "8x8x3",
@@ -135,7 +122,8 @@ def test_traffic_extraction_speedup(benchmark):
         f"\n{len(loop)} messages: vectorized {t_vectorized * 1e3:.1f} ms, "
         f"loop {t_loop * 1e3:.1f} ms -> {speedup:.1f}x speedup"
     )
-    _record(
+    record_bench(
+        "BENCH_mapping.json",
         "traffic",
         {
             "dataset": "ppi@0.05",

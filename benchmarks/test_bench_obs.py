@@ -16,11 +16,10 @@ trajectory stays tracked in-tree.
 
 from __future__ import annotations
 
-import json
 import random
 import time
-from pathlib import Path
 
+from benchmarks.conftest import record_bench
 from repro.obs import MemoryTraceRecorder, NullRecorder, make_sketch
 from repro.serve.scenario import (
     ServingScenario,
@@ -28,7 +27,6 @@ from repro.serve.scenario import (
     simulate_serving_scenario,
 )
 
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_obs.json"
 
 SCENARIO = ServingScenario(
     arrival="mmpp",
@@ -47,18 +45,6 @@ def _timed(fn, *args, **kwargs) -> float:
     t0 = time.perf_counter()
     fn(*args, **kwargs)
     return time.perf_counter() - t0
-
-
-def _record(section: str, payload: dict) -> None:
-    """Merge one section into BENCH_obs.json (atomic enough for CI)."""
-    data: dict = {}
-    if BENCH_PATH.is_file():
-        try:
-            data = json.loads(BENCH_PATH.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data[section] = payload
-    BENCH_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _lognormal(n: int, seed: int = 7) -> list[float]:
@@ -91,7 +77,8 @@ def test_null_recorder_overhead(benchmark):
         f"\nuntraced {t_plain * 1e3:.1f} ms, NullRecorder "
         f"{t_null * 1e3:.1f} ms -> {ratio:.3f}x"
     )
-    _record(
+    record_bench(
+        "BENCH_obs.json",
         "null_recorder",
         {
             "scenario": SCENARIO.display_label,
@@ -129,7 +116,8 @@ def test_p2_accuracy_at_scale(benchmark):
         + "  ".join(f"p{q:g} err {e:.4%}" for q, e in errors.items())
         + f"  state {sketch.state_size} vs {oracle.state_size} floats"
     )
-    _record(
+    record_bench(
+        "BENCH_obs.json",
         "p2_accuracy",
         {
             "samples": n,

@@ -20,16 +20,14 @@ Results land in ``BENCH_serve.json`` at the repo root.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import pytest
 
+from benchmarks.conftest import record_bench
 from repro.serve.scenario import ServingScenario, simulate_serving_scenario
 from repro.serve.service import LinearServiceModel
 
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_serve.json"
 
 #: 10^5 requests through a 4-instance fleet.  The analytic service model
 #: keeps the run compute-bound on the event loop itself (no accelerator
@@ -57,18 +55,6 @@ def _timed(fn, *args, **kwargs) -> float:
     t0 = time.perf_counter()
     fn(*args, **kwargs)
     return time.perf_counter() - t0
-
-
-def _record(section: str, payload: dict) -> None:
-    """Merge one section into BENCH_serve.json (atomic enough for CI)."""
-    data: dict = {}
-    if BENCH_PATH.is_file():
-        try:
-            data = json.loads(BENCH_PATH.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data[section] = payload
-    BENCH_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def test_typed_fleet_event_rate(benchmark):
@@ -103,7 +89,8 @@ def test_typed_fleet_event_rate(benchmark):
         f"\nhom {t_hom:.2f} s ({hom_rate / 1e3:.0f}k req/s), "
         f"het {t_het:.2f} s ({het_rate / 1e3:.0f}k req/s) -> {ratio:.3f}x"
     )
-    _record(
+    record_bench(
+        "BENCH_serve.json",
         "typed_fleet_event_rate",
         {
             "requests": hom_report.offered,

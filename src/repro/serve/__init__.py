@@ -93,12 +93,7 @@ from repro.serve.faults import (
     FaultSpec,
     coerce_faults,
 )
-from repro.serve.engine import (
-    ReplicaPool,
-    ServingEngine,
-    ServingReport,
-    TenantReport,
-)
+from repro.serve.engine import ServingEngine, ServingReport, TenantReport
 from repro.serve.fleet import (
     INSTANCE_TYPES,
     FleetSpec,
@@ -179,7 +174,6 @@ __all__ = [
     "ScalingEvent",
     "TargetUtilizationAutoscaler",
     "make_autoscaler",
-    "ReplicaPool",
     "ServingEngine",
     "ServingReport",
     "TenantReport",

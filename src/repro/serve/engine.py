@@ -2,8 +2,11 @@
 
 Same priority-queue idiom as the NoC event engine
 (:mod:`repro.noc.events`): a heap of timestamped events, cost scaling
-with the number of requests rather than with elapsed time.  Nine event
-kinds:
+with the number of requests rather than with elapsed time.  Each
+:meth:`ServingEngine.run` builds one private run-state object that owns
+the heap, the fleet, the queues, and every counter; its loop integrates
+occupancy between events and hands each event to the one handler method
+of its kind.  Nine event kinds:
 
 * ``DEPART`` — a replica finishes a batch: record per-request latencies,
   free (or retire) the instance, re-check the queue (and, closed-loop,
@@ -44,9 +47,11 @@ ceiling, service-time scale, warm-up, and $-cost rate.  A
 :class:`~repro.serve.routing.RoutingPolicy` sits between admission and
 the per-target :class:`~repro.serve.scheduler.BatchingScheduler` queues:
 it assigns each admitted request to a target queue and tells each
-instance type which targets it drains.  The homogeneous default — one
-``default`` type behind the single shared queue — reproduces the
-pre-fleet engine *bit-identically*; the regression baseline pins that.
+instance type which targets it drains.  Every enqueue goes through that
+one routing step; the default ``shared_queue`` policy is simply the
+one-target case.  The homogeneous default — one ``default`` type behind
+the single shared queue — reproduces the pre-fleet engine
+*bit-identically*; the regression baseline pins that.
 
 Scale-out provisions instances that bill immediately but serve only
 after their warm-up, and scale-in retires idle instances at once while
@@ -81,10 +86,11 @@ it always did.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.noc.stats import LatencySummary, summarize_latencies
+from repro.noc.stats import LatencySummary
 from repro.obs.metrics import MetricRegistry, Sampler
 from repro.obs.sketch import SKETCH_BACKENDS, make_sketch
 from repro.obs.slo import BurnRateTracker, SloBurnReport
@@ -118,20 +124,13 @@ from repro.serve.autoscale import (
     ScalingEvent,
 )
 from repro.serve.faults import FaultInjector, FaultSpec, coerce_faults
-from repro.serve.fleet import (
-    FleetSpec,
-    ReplicaPool,
-    TypedReplicaPool,
-    TypeUsage,
-    coerce_fleet,
-)
+from repro.serve.fleet import FleetSpec, TypedReplicaPool, TypeUsage, coerce_fleet
 from repro.serve.retry import RetryPolicy, make_retry_policy
 from repro.serve.routing import ROUTING_POLICIES, make_routing
-from repro.serve.scheduler import BatchingScheduler, SchedulerGroup
+from repro.serve.scheduler import BatchingScheduler
 from repro.serve.service import ServiceModel
 
 __all__ = [
-    "ReplicaPool",  # moved to repro.serve.fleet; re-exported for compat
     "ServingEngine",
     "ServingReport",
     "TenantReport",
@@ -304,45 +303,14 @@ class ServingReport:
         return "\n".join(lines)
 
 
-def _empty_report(
-    instances: int,
-    slo_seconds: float,
-    horizon: float,
-    fleet: str = "",
-    routing: str = "shared_queue",
-) -> ServingReport:
-    return ServingReport(
-        horizon_seconds=horizon,
-        makespan_seconds=0.0,
-        instances=instances,
-        slo_seconds=slo_seconds,
-        offered=0,
-        completed=0,
-        batches=0,
-        throughput_qps=0.0,
-        utilization=0.0,
-        mean_batch_size=0.0,
-        mean_queue_depth=0.0,
-        peak_queue_depth=0,
-        latency=summarize_latencies([]),
-        slo_violation_rate=0.0,
-        tenants={},
-        instance_seconds=0.0,
-        peak_instances=instances,
-        fleet=fleet,
-        routing=routing,
-    )
-
-
 class ServingEngine:
     """Drive schedulers + service model + a typed fleet over a workload.
 
     Args:
         scheduler: the batching scheduler owning the admission queue.
-            With multi-target routing it becomes the first target's queue
-            and prototype — each further target gets an identically
-            configured :meth:`~repro.serve.scheduler.BatchingScheduler
-            .spawn`.
+            It is the first routing target's queue and the prototype for
+            the rest — each further target gets an identically configured
+            :meth:`~repro.serve.scheduler.BatchingScheduler.spawn`.
         service: per-batch service-time model (each instance type scales
             it by its ``service_scale``).
         instances: initial replica count (the *whole* fleet when no
@@ -385,8 +353,7 @@ class ServingEngine:
             the pre-fleet engine.
         routing: routing-policy name from
             :data:`~repro.serve.routing.ROUTING_POLICIES` (default
-            ``shared_queue``; single-target policies leave the engine on
-            the shared-queue fast path).
+            ``shared_queue``, the single queue every type drains).
         routing_seed: seed for randomized routing policies (po2).
         faults: optional fault model — a :class:`~repro.serve.faults
             .FaultSpec` or its string form (``"mtbf=0.4,mttr=0.1"``,
@@ -499,892 +466,21 @@ class ServingEngine:
             raise ValueError("closed-loop runs need horizon_seconds")
         if horizon_seconds is not None and horizon_seconds <= 0:
             raise ValueError("horizon must be positive")
+        if self.autoscaler is not None:
+            self.autoscaler.reset()
+        if self.admission is not None:
+            self.admission.reset()
+        state = _Run(self, requests, closed_loop, horizon_seconds)
+        state.simulate()
+        return self._report(state)
 
-        autoscaler = self.autoscaler
-        admission = self.admission
-        if autoscaler is not None:
-            autoscaler.reset()
-        if admission is not None:
-            admission.reset()
-        events: list[tuple[float, int, int, object]] = []
-        seq = 0
-
-        def push(time: float, kind: int, payload: object) -> None:
-            nonlocal seq
-            heapq.heappush(events, (time, kind, seq, payload))
-            seq += 1
-
-        fleet = TypedReplicaPool(
-            self.fleet_spec, default_warmup_seconds=self.warmup_seconds
-        )
-        typed = fleet.is_typed
-        slices = fleet.slices
-        fleet_label = self.fleet_spec.render() if typed else ""
-
-        initial = (
-            list(requests) if requests is not None else closed_loop.initial_requests()
-        )
-        offered = 0
-        for request in sorted(
-            initial, key=lambda r: (r.arrival_time, r.request_id)
-        ):
-            if horizon_seconds is not None and request.arrival_time >= horizon_seconds:
-                continue
-            push(request.arrival_time, _ARRIVE, request)
-            offered += 1
-        horizon = horizon_seconds or max(
-            (r.arrival_time for r in initial), default=0.0
-        )
-        if not events:
-            return _empty_report(
-                self.instances,
-                self.slo_seconds,
-                horizon,
-                fleet=fleet_label,
-                routing=self.routing,
-            )
-
-        # The routing layer: one scheduler queue per target, the provided
-        # scheduler serving as the first queue and the prototype for the
-        # rest.  Single-target policies (the shared queue, or any policy
-        # over one type) keep the original one-queue fast path.
-        policy = make_routing(self.routing, fleet.types, seed=self.routing_seed)
-        targets = policy.targets()
-        sched0 = self.scheduler
-        schedulers = {
-            target: (sched0 if i == 0 else sched0.spawn())
-            for i, target in enumerate(targets)
-        }
-        group = SchedulerGroup(schedulers)
-        multi = len(targets) > 1
-        depth_of = group.depth_of
-        max_wait = sched0.max_wait_seconds
-        # Per-slice dispatch plan: each instance type drains its declared
-        # targets in priority order, capped by its own batch ceiling.
-        serve_plan = [
-            (
-                slice_,
-                slice_.pool,
-                slice_.itype.max_batch or None,
-                tuple(schedulers[t] for t in policy.serves(slice_.itype.name)),
-                slice_.itype.service_scale,
-            )
-            for slice_ in slices
-        ]
-
-        # Telemetry collaborators.  A disabled recorder resolves to None
-        # here, once, so the event loop below never pays for tracing it
-        # is not doing.
-        recorder = self.recorder
-        rec = recorder if recorder is not None and recorder.enabled else None
-        sampler = self.sampler
-        seen_requests: set[int] = set()  # first-arrival dedup, tracing only
-        burn = BurnRateTracker(
-            slo_seconds=self.slo_seconds,
-            budget=self.violation_budget,
-            window_seconds=self.burn_window_seconds
-            or max(horizon / 8.0, 1e-9),
-        )
-
-        # Reliability machinery (fault injection / retries / hedging).
-        # Every touchpoint below is gated on these flags: a fault-free,
-        # retry-free, unhedged run never reads or writes any of it, which
-        # is what keeps the default path bit-identical to the
-        # pre-reliability engine (pinned by the regression baseline).
-        fault_spec = self.faults
-        injector = (
-            FaultInjector(fault_spec, self.fault_seed, len(slices))
-            if fault_spec is not None
-            else None
-        )
-        faulty = injector is not None
-        retry_policy = self.retry_policy
-        hedge_seconds = self.hedge_seconds
-        hedging = hedge_seconds > 0
-        reliable = faulty or retry_policy is not None or hedging
-        in_flight: dict[tuple[int, int], object] = {}
-        crashed_handles: set[tuple[int, int]] = set()
-        slow_until = [0.0] * len(slices)
-        attempt_count: dict[int, int] = {}  # failed attempts per request
-        finished_ids: set[int] = set()  # hedging: departed-or-failed ids
-        copies: dict[int, int] = {}  # hedging: extra outstanding copies
-        route_of: dict[int, str] = {}  # hedging: the primary copy's target
-        failed = 0
-        retry_count = 0
-        crashes = 0
-        recoveries = 0
-        slowdowns = 0
-        zone_outages = 0
-        hedges_fired = 0
-        hedges_cancelled = 0
-        # Which slices serve each routing target: the health view behind
-        # failure-aware routing (a target is healthy while any serving
-        # slice has an instance up or warming).
-        serving_slices = (
-            {
-                target: tuple(
-                    s for s in slices if target in policy.serves(s.itype.name)
-                )
-                for target in targets
-            }
-            if faulty and multi
-            else {}
-        )
-
-        # Aggregate fleet counts: a single-slice fleet reads its one
-        # ReplicaPool directly (the pre-fleet hot path); multi-slice
-        # fleets pay the summing properties.
-        counts = slices[0].pool if len(slices) == 1 else fleet
-        busy_integral = 0.0  # busy instances x time
-        pool_integral = 0.0  # provisioned (billed) instances x time
-        busy_at_makespan = 0.0
-        pool_at_makespan = 0.0
-        usage_at_makespan: tuple[tuple[float, float], ...] = tuple(
-            (0.0, 0.0) for _ in slices
-        )
-        depth_total = 0
-        batches = 0
-        served = 0
-        arrived = 0
-        overall_sketch = make_sketch(self.metrics_backend)
-        tenant_sketches: dict[str, object] = {}
-        depth_integral = 0.0
-        peak_depth = 0
-        peak_pool = counts.provisioned
-        min_pool = counts.provisioned
-        last_time = 0.0
-        makespan = 0.0
-        scale_events: list[ScalingEvent] = []
-        tick_busy_mark = 0.0
-        tick_pool_mark = 0.0
-        stats = (
-            AdmissionStats(mode=admission.mode) if admission is not None else None
-        )
-        if autoscaler is not None:
-            push(autoscaler.interval_seconds, _AUTOSCALE, None)
-        if faulty:
-            # Seed one event per armed fault process.  Seeds and re-arms
-            # alike only land inside the admission horizon, so the fault
-            # stream always terminates and the post-horizon drain runs
-            # fault-free (a seed drawn past the horizon never fires —
-            # counters and billing integrals stay inside the run).
-            if fault_spec.mtbf > 0:
-                for i, s in enumerate(slices):
-                    gap = injector.next_crash_gap(s.pool.provisioned)
-                    if gap < horizon:
-                        push(gap, _FAULT, ("crash", i))
-            if fault_spec.slow_mtbf > 0:
-                for i in range(len(slices)):
-                    gap = injector.next_slowdown_gap()
-                    if gap < horizon:
-                        push(gap, _FAULT, ("slow", i))
-            if fault_spec.zone_mtbf > 0:
-                gap = injector.next_zone_gap()
-                if gap < horizon:
-                    push(gap, _FAULT, ("zone", -1))
-
-        def spawn_follow_up(now: float) -> None:
-            """Closed loop: a finished (or refused) client owes its next request."""
-            nonlocal offered
-            follow_up = closed_loop.next_request(now)
-            if follow_up.arrival_time < horizon:
-                push(follow_up.arrival_time, _ARRIVE, follow_up)
-                offered += 1
-
-        def try_dispatch(now: float) -> None:
-            nonlocal batches, depth_total
-            for slice_, pool, limit, scheds, scale in serve_plan:
-                while pool.has_free():
-                    batch = None
-                    for sched in scheds:
-                        if sched.ready(now, limit):
-                            batch = sched.pop_batch(now, limit)
-                            break
-                    if batch is None:
-                        break
-                    depth_total -= len(batch.requests)
-                    handle = fleet.acquire(slice_.index, now)
-                    seconds = self.service.batch_service_seconds(
-                        batch.graph_sizes
-                    )
-                    if scale != 1.0:
-                        seconds *= scale
-                    if faulty:
-                        if now < slow_until[slice_.index]:
-                            seconds *= fault_spec.slow_factor
-                        in_flight[handle] = batch
-                    batches += 1
-                    if rec is not None:
-                        label = fleet.label(handle)
-                        for request in batch.requests:
-                            rec.request_event(
-                                now,
-                                SPAN_DISPATCH,
-                                request,
-                                instance=label,
-                                batch_size=len(batch.requests),
-                                service_seconds=seconds,
-                            )
-                    push(now + seconds, _DEPART, (handle, batch))
-
-        def target_healthy(target: str) -> bool:
-            """Whether any slice serving ``target`` has capacity alive."""
-            return any(
-                s.pool.ready_count + s.pool.warming_count > 0
-                for s in serving_slices[target]
-            )
-
-        def healthy_route(request: Request, exclude: str | None = None) -> str:
-            """Failure-aware routing: fall back to the least-loaded
-            healthy target when the policy's pick has no capacity left.
-
-            ``exclude`` is the hedging hook — the target already carrying
-            the request's primary copy.  A hedged duplicate goes to the
-            least-loaded *other* healthy target when one exists (the
-            point of hedging is a second, independent path), and only
-            falls back to the primary's target when it is the sole
-            survivor."""
-            if exclude is not None:
-                alive = [
-                    t for t in targets if t != exclude and target_healthy(t)
-                ]
-                if alive:
-                    return min(alive, key=lambda t: (depth_of(t), t))
-            target = policy.route(request, depth_of)
-            if not target_healthy(target):
-                alive = [t for t in targets if target_healthy(t)]
-                if alive:
-                    target = min(alive, key=lambda t: (depth_of(t), t))
-            return target
-
-        def eject_dead_targets() -> int:
-            """Drain queues stranded behind targets with no capacity and
-            re-enqueue their requests onto the least-loaded healthy
-            targets; returns how many requests moved (total outages move
-            nothing — those queues wait for recoveries)."""
-            alive = [t for t in targets if target_healthy(t)]
-            if not alive:
-                return 0
-            moved = 0
-            for target in targets:
-                if target_healthy(target):
-                    continue
-                sched = schedulers[target]
-                if sched.queue_depth == 0:
-                    continue
-                for request in sched.drain():
-                    dest = min(alive, key=lambda t: (depth_of(t), t))
-                    schedulers[dest].enqueue(request)
-                    moved += 1
-            return moved
-
-        def requeue(
-            request: Request, now: float, exclude: str | None = None
-        ) -> None:
-            """Re-enqueue a retried or hedged request.
-
-            Admission was already paid at the original arrival; the
-            request re-routes like a fresh one (healthily, under faults)
-            and re-arms a batching deadline for its new queue position.
-            ``exclude`` steers a hedged duplicate away from the target
-            already carrying the primary copy.
-            """
-            nonlocal depth_total, peak_depth
-            if multi:
-                target = (
-                    healthy_route(request, exclude)
-                    if faulty or exclude is not None
-                    else policy.route(request, depth_of)
-                )
-                schedulers[target].enqueue(request)
-                if hedging:
-                    route_of[request.request_id] = target
-            else:
-                sched0.enqueue(request)
-            depth_total += 1
-            if rec is not None:
-                rec.request_event(
-                    now, SPAN_ENQUEUE, request, queue_depth=depth_total
-                )
-            if depth_total > peak_depth:
-                peak_depth = depth_total
-            if max_wait > 0:
-                push(now + max_wait, _TIMEOUT, None)
-            try_dispatch(now)
-
-        def fail_attempt(request: Request, now: float) -> None:
-            """One service attempt died with its instance: retry or fail."""
-            nonlocal failed, retry_count
-            rid = request.request_id
-            if hedging:
-                if rid in finished_ids:
-                    copies.pop(rid, None)  # late copy of a settled request
-                    return
-                extra = copies.get(rid, 0)
-                if extra > 0:
-                    # A surviving copy (queued or in flight) still carries
-                    # the request; the duplicate absorbs this failure.
-                    copies[rid] = extra - 1
-                    return
-            attempt = attempt_count.get(rid, 0) + 1
-            delay = (
-                retry_policy.next_delay(request, attempt, now)
-                if retry_policy is not None
-                else None
-            )
-            if delay is None:
-                failed += 1
-                attempt_count.pop(rid, None)
-                if hedging:
-                    finished_ids.add(rid)
-                    copies.pop(rid, None)
-                    route_of.pop(rid, None)
-                if rec is not None:
-                    rec.request_event(now, SPAN_FAIL, request, attempts=attempt)
-                if closed_loop is not None:
-                    # The client saw an error; it owes its next request.
-                    spawn_follow_up(now)
-                return
-            attempt_count[rid] = attempt
-            retry_count += 1
-            if rec is not None:
-                rec.request_event(
-                    now, SPAN_RETRY, request,
-                    attempt=attempt, retry_at=now + delay,
-                )
-            push(now + delay, _RETRY, request)
-
-        def crash_instance(
-            handle: tuple[int, int], now: float, repair_seconds: float
-        ) -> None:
-            """Tear one instance down and fail whatever it was serving."""
-            nonlocal crashes
-            crashes += 1
-            state = fleet.crash(handle, now)
-            if rec is not None:
-                rec.fleet_event(
-                    now, FLEET_CRASH, instance=fleet.label(handle), state=state
-                )
-            if state in ("busy", "retiring"):
-                batch = in_flight.pop(handle)
-                # The already-scheduled DEPART for this batch is now
-                # stale; the set tells the depart handler to discard it
-                # (instance ids are never reused, so at most one
-                # outstanding departure can ever match a handle).
-                crashed_handles.add(handle)
-                for request in batch.requests:  # type: ignore[attr-defined]
-                    fail_attempt(request, now)
-            if state != "retiring":
-                # A retiring instance was leaving anyway; everyone else
-                # gets a replacement once the repair completes.
-                push(now + repair_seconds, _RECOVER, handle[0])
-            if multi and eject_dead_targets():
-                try_dispatch(now)
-
-        def fleet_state() -> dict[str, object]:
-            """What one Sampler row holds (state before the current event).
-
-            Typed fleets add per-type and per-target columns; the
-            homogeneous default keeps exactly the pre-fleet columns.
-            """
-            state: dict[str, object] = {
-                "ready": counts.ready_count,
-                "warming": counts.warming_count,
-                "busy": counts.busy_count,
-                "retiring": counts.retiring_count,
-                "provisioned": counts.provisioned,
-                "queue_depth": depth_total,
-                "arrived": arrived,
-                "admitted": stats.admitted if stats is not None else arrived,
-                "shed": stats.shed if stats is not None else 0,
-                "tarpitted": stats.tarpitted if stats is not None else 0,
-                "completed": served,
-                "utilization": (
-                    round(busy_integral / pool_integral, 9)
-                    if pool_integral > 0
-                    else 0.0
-                ),
-            }
-            if typed:
-                for s in slices:
-                    state[f"provisioned[{s.itype.name}]"] = s.pool.provisioned
-                    state[f"busy[{s.itype.name}]"] = s.pool.busy_count
-                for target in targets:
-                    state[f"queue_depth[{target}]"] = depth_of(target)
-            return state
-
-        while events:
-            now, kind, _, payload = heapq.heappop(events)
-            dt = now - last_time
-            depth_integral += depth_total * dt
-            busy_integral += counts.busy_count * dt
-            pool_integral += counts.provisioned * dt
-            last_time = now
-            if sampler is not None and now >= sampler.next_time:
-                sampler.record(now, fleet_state())
-            if kind == _DEPART:
-                handle, batch = payload  # type: ignore[misc]
-                if faulty:
-                    if handle in crashed_handles:
-                        # The instance died mid-batch: its requests took
-                        # the failure path at crash time, the fleet slot
-                        # was released by the crash itself — this
-                        # departure is stale and must not double-free.
-                        crashed_handles.discard(handle)
-                        continue
-                    del in_flight[handle]
-                # Only departures advance the makespan: stale TIMEOUT (or
-                # autoscale-tick) events outliving the last departure are
-                # no-ops and must not inflate the throughput/utilization
-                # window — the billing integrals are snapshotted here too.
-                makespan = now
-                busy_at_makespan = busy_integral
-                pool_at_makespan = pool_integral
-                fleet.release(handle, now)
-                if typed:
-                    slices[handle[0]].completed += len(batch.requests)
-                    usage_at_makespan = tuple(
-                        (s.instance_seconds(now), s.busy_seconds(now))
-                        for s in slices
-                    )
-                    label = fleet.label(handle)
-                else:
-                    label = handle[1]
-                for request in batch.requests:
-                    if hedging:
-                        rid = request.request_id
-                        if rid in finished_ids:
-                            # The losing hedge copy: the winner already
-                            # recorded this request's latency (or its
-                            # failure); drop the duplicate silently.
-                            hedges_cancelled += 1
-                            copies.pop(rid, None)
-                            if rec is not None:
-                                rec.request_event(
-                                    now, SPAN_HEDGE_CANCELLED, request,
-                                    instance=label,
-                                )
-                            continue
-                        finished_ids.add(rid)
-                    if faulty and attempt_count:
-                        # A previously failed request finally succeeded.
-                        attempt_count.pop(request.request_id, None)
-                    latency = now - request.arrival_time
-                    sketch = tenant_sketches.get(request.tenant)
-                    if sketch is None:
-                        sketch = tenant_sketches[request.tenant] = make_sketch(
-                            self.metrics_backend
-                        )
-                    sketch.add(latency)  # type: ignore[attr-defined]
-                    overall_sketch.add(latency)
-                    violated = burn.observe(now, request.tenant, latency)
-                    served += 1
-                    if rec is not None:
-                        rec.request_event(
-                            now,
-                            SPAN_DEPART,
-                            request,
-                            instance=label,
-                            latency=latency,
-                            violated=violated,
-                        )
-                    if closed_loop is not None:
-                        spawn_follow_up(now)
-                try_dispatch(now)
-            elif kind == _WARMED:
-                if fleet.warmed(payload, now):  # type: ignore[arg-type]
-                    if rec is not None:
-                        rec.fleet_event(
-                            now, FLEET_WARMED, instance=fleet.label(payload)
-                        )
-                    try_dispatch(now)
-            elif kind == _ARRIVE:
-                request = payload  # type: ignore[assignment]
-                arrived += 1
-                if rec is not None and request.request_id not in seen_requests:
-                    seen_requests.add(request.request_id)
-                    rec.request_event(now, SPAN_ARRIVE, request)
-                if admission is not None:
-                    if faulty:
-                        # Graceful degradation: with part of the fleet
-                        # down, tighten the queue budget to the healthy
-                        # fraction of declared capacity — queueing against
-                        # capacity that is not there only deepens the tail.
-                        fraction = counts.provisioned / self.instances
-                        decision = admission.admit(
-                            request.tenant,
-                            now,
-                            depth_total,
-                            capacity_fraction=(
-                                fraction if fraction < 1.0 else 1.0
-                            ),
-                        )
-                    else:
-                        decision = admission.admit(
-                            request.tenant, now, depth_total
-                        )
-                    if not decision.admitted:
-                        retry_at = now + decision.retry_after_seconds
-                        if decision.retry_after_seconds > 0 and retry_at < horizon:
-                            stats.tarpitted += 1
-                            if rec is not None:
-                                rec.request_event(
-                                    now,
-                                    SPAN_TARPIT,
-                                    request,
-                                    reason=decision.reason,
-                                    retry_at=retry_at,
-                                )
-                            push(retry_at, _ARRIVE, request)
-                        else:
-                            stats.shed += 1
-                            stats.shed_by_reason[decision.reason] = (
-                                stats.shed_by_reason.get(decision.reason, 0) + 1
-                            )
-                            stats.per_tenant_shed[request.tenant] = (
-                                stats.per_tenant_shed.get(request.tenant, 0) + 1
-                            )
-                            if rec is not None:
-                                rec.request_event(
-                                    now,
-                                    SPAN_SHED,
-                                    request,
-                                    reason=decision.reason,
-                                )
-                            if closed_loop is not None:
-                                # The refused client errors out and retries
-                                # after a backoff.  The backoff (reusing the
-                                # controller's tarpit delay) guarantees the
-                                # clock advances even for zero-think-time
-                                # pools — an instant retry against a still-
-                                # full queue would livelock the simulation.
-                                spawn_follow_up(now + admission.tarpit_seconds)
-                        continue
-                    stats.admitted += 1
-                    if rec is not None:
-                        rec.request_event(
-                            now, SPAN_ADMIT, request, reason=decision.reason
-                        )
-                elif rec is not None:
-                    rec.request_event(now, SPAN_ADMIT, request, reason="open")
-                if multi:
-                    target = (
-                        healthy_route(request)
-                        if faulty
-                        else policy.route(request, depth_of)
-                    )
-                    schedulers[target].enqueue(request)
-                    if hedging:
-                        route_of[request.request_id] = target
-                else:
-                    sched0.enqueue(request)
-                depth_total += 1
-                if rec is not None:
-                    rec.request_event(
-                        now,
-                        SPAN_ENQUEUE,
-                        request,
-                        queue_depth=depth_total,
-                    )
-                if depth_total > peak_depth:
-                    peak_depth = depth_total
-                if hedging:
-                    # Armed once per request, at its first (admitted)
-                    # enqueue; fires only if still unfinished then.
-                    push(now + hedge_seconds, _HEDGE, request)
-                if max_wait > 0:
-                    push(now + max_wait, _TIMEOUT, None)
-                try_dispatch(now)
-            elif kind == _TIMEOUT:
-                # The queue head may have exceeded its wait.
-                try_dispatch(now)
-            elif kind == _AUTOSCALE:
-                # Observe the interval, maybe resize the fleet.
-                interval_busy = busy_integral - tick_busy_mark
-                interval_pool = pool_integral - tick_pool_mark
-                tick_busy_mark = busy_integral
-                tick_pool_mark = pool_integral
-                snapshot = FleetSnapshot(
-                    now=now,
-                    provisioned=counts.target_size,
-                    ready=counts.ready_count,
-                    busy=counts.busy_count,
-                    warming=counts.warming_count,
-                    queue_depth=depth_total,
-                    utilization=(
-                        min(interval_busy / interval_pool, 1.0)
-                        if interval_pool > 0
-                        else 0.0
-                    ),
-                )
-                target = autoscaler.decide(snapshot)
-                if target != snapshot.provisioned:
-                    for handle, ready_at in fleet.scale_to(target, now):
-                        if ready_at > now:
-                            push(ready_at, _WARMED, handle)
-                    if rec is not None:
-                        if typed:
-                            rec.fleet_event(
-                                now,
-                                FLEET_SCALE,
-                                previous=snapshot.provisioned,
-                                target=target,
-                                per_type=[
-                                    list(row) for row in fleet.last_scale_detail
-                                ],
-                            )
-                        else:
-                            rec.fleet_event(
-                                now,
-                                FLEET_SCALE,
-                                previous=snapshot.provisioned,
-                                target=target,
-                            )
-                        for label in fleet.last_rescued:
-                            rec.fleet_event(now, FLEET_RESCUE, instance=label)
-                    scale_events.append(
-                        ScalingEvent(
-                            time=now,
-                            previous=snapshot.provisioned,
-                            target=target,
-                            per_type=fleet.last_scale_detail if typed else (),
-                        )
-                    )
-                    try_dispatch(now)
-                peak_pool = max(peak_pool, counts.provisioned)
-                min_pool = min(min_pool, counts.target_size)
-                if events or depth_total > 0 or counts.busy_count > 0:
-                    push(now + autoscaler.interval_seconds, _AUTOSCALE, None)
-            elif kind == _FAULT:
-                what, idx = payload  # type: ignore[misc]
-                if what == "crash":
-                    victim = injector.pick_victim(fleet.instance_ids(idx))
-                    if victim is not None:
-                        crash_instance((idx, victim), now, fault_spec.mttr)
-                    gap = injector.next_crash_gap(
-                        slices[idx].pool.provisioned
-                    )
-                    if now + gap < horizon:
-                        push(now + gap, _FAULT, ("crash", idx))
-                elif what == "slow":
-                    slowdowns += 1
-                    slow_until[idx] = now + fault_spec.slow_duration
-                    if rec is not None:
-                        rec.fleet_event(
-                            now,
-                            FLEET_SLOWDOWN,
-                            type=slices[idx].itype.name,
-                            factor=fault_spec.slow_factor,
-                            until=slow_until[idx],
-                        )
-                    gap = injector.next_slowdown_gap()
-                    if now + gap < horizon:
-                        push(now + gap, _FAULT, ("slow", idx))
-                else:  # zone outage: correlated teardown across slices
-                    zone = injector.pick_zone()
-                    zone_outages += 1
-                    victims = [
-                        (s.index, instance)
-                        for s in slices
-                        for instance in s.pool.instance_ids()
-                        if injector.zone_of(instance) == zone
-                    ]
-                    if rec is not None:
-                        rec.fleet_event(
-                            now,
-                            FLEET_ZONE_OUTAGE,
-                            zone=zone,
-                            killed=len(victims),
-                        )
-                    for crash_handle in victims:
-                        crash_instance(crash_handle, now, fault_spec.zone_mttr)
-                    gap = injector.next_zone_gap()
-                    if now + gap < horizon:
-                        push(now + gap, _FAULT, ("zone", -1))
-            elif kind == _RECOVER:
-                recoveries += 1
-                handle, ready_at = fleet.restore(payload, now)  # type: ignore[arg-type]
-                if rec is not None:
-                    rec.fleet_event(
-                        now,
-                        FLEET_RECOVER,
-                        instance=fleet.label(handle),
-                        ready_at=ready_at,
-                    )
-                if ready_at > now:
-                    push(ready_at, _WARMED, handle)
-                else:
-                    try_dispatch(now)
-            elif kind == _RETRY:
-                requeue(payload, now)  # type: ignore[arg-type]
-            else:  # _HEDGE: duplicate a still-unfinished request
-                request = payload  # type: ignore[assignment]
-                primary = route_of.pop(request.request_id, None)
-                if request.request_id not in finished_ids:
-                    hedges_fired += 1
-                    copies[request.request_id] = (
-                        copies.get(request.request_id, 0) + 1
-                    )
-                    if rec is not None:
-                        rec.request_event(now, SPAN_HEDGE_FIRED, request)
-                    requeue(request, now, exclude=primary)
-
-        if stats is not None:
-            stats.offered = offered
-        if rec is not None:
-            rec.finish()
-        if sampler is not None:
-            # Extend the series through the run horizon so its length is a
-            # deterministic function of horizon / interval alone.
-            sampler.record(max(horizon, last_time), fleet_state())
-        autoscale_stats = (
-            AutoscaleStats(
-                policy=autoscaler.kind,
-                peak_instances=peak_pool,
-                min_instances=min_pool,
-                final_instances=counts.target_size,
-                scale_out_events=sum(1 for e in scale_events if e.delta > 0),
-                scale_in_events=sum(1 for e in scale_events if e.delta < 0),
-                events=tuple(scale_events),
-            )
-            if autoscaler is not None
-            else None
-        )
-        # Per-type usage + $-cost.  The homogeneous default fleet bills
-        # $1/s, so its cost is exactly the instance-seconds integral and
-        # the per-type breakdown stays empty (pre-fleet reports pinned).
-        if typed:
-            per_type = tuple(
-                TypeUsage(
-                    name=s.itype.name,
-                    initial=self.fleet_spec.slices[i][1],
-                    peak=s.peak,
-                    final=s.pool.target_size,
-                    instance_seconds=usage_at_makespan[i][0],
-                    busy_seconds=usage_at_makespan[i][1],
-                    cost_dollars=(
-                        usage_at_makespan[i][0] * s.itype.cost_per_second
-                    ),
-                    batches=s.batches,
-                    completed=s.completed,
-                )
-                for i, s in enumerate(slices)
-            )
-            cost_dollars = sum(u.cost_dollars for u in per_type)
-        else:
-            per_type = ()
-            cost_dollars = pool_at_makespan
-        registry = self.registry
-        if registry is not None:
-            if reliable:
-                # Reliability counters appear only when the machinery was
-                # armed: default-run registry contents stay pinned.
-                registry.counter("requests_failed").inc(failed)
-                registry.counter("requests_retried").inc(retry_count)
-                registry.counter("instances_crashed").inc(crashes)
-                registry.counter("instances_recovered").inc(recoveries)
-                registry.counter("hedges_fired").inc(hedges_fired)
-                registry.counter("hedges_cancelled").inc(hedges_cancelled)
-            registry.counter("requests_offered").inc(offered)
-            registry.counter("arrival_events").inc(arrived)
-            registry.counter("requests_completed").inc(served)
-            registry.counter("batches_dispatched").inc(batches)
-            registry.counter("slo_violations").inc(burn.violations)
-            if stats is not None:
-                registry.counter("admission_admitted").inc(stats.admitted)
-                registry.counter("admission_shed").inc(stats.shed)
-                registry.counter("admission_tarpitted").inc(stats.tarpitted)
-            registry.gauge("peak_queue_depth").set(peak_depth)
-            registry.gauge("peak_instances").set(peak_pool)
-            registry.gauge("final_instances").set(counts.target_size)
-            registry.gauge("instance_seconds").set(pool_at_makespan)
-            registry.gauge("makespan_seconds").set(makespan)
-            if typed:
-                registry.gauge("cost_dollars").set(cost_dollars)
-                for u in per_type:
-                    registry.gauge(f"instance_seconds[{u.name}]").set(
-                        u.instance_seconds
-                    )
-                    registry.gauge(f"peak_instances[{u.name}]").set(u.peak)
-                    registry.counter(f"requests_completed[{u.name}]").inc(
-                        u.completed
-                    )
-                    registry.counter(f"batches_dispatched[{u.name}]").inc(
-                        u.batches
-                    )
-            registry.attach_histogram("latency_seconds", overall_sketch)
-            for tenant in sorted(tenant_sketches):
-                registry.attach_histogram(
-                    f"latency_seconds[{tenant}]", tenant_sketches[tenant]
-                )
-        return self._report(
-            horizon=horizon,
-            makespan=makespan,
-            offered=offered,
-            served=served,
-            batches=batches,
-            busy_seconds=busy_at_makespan,
-            instance_seconds=pool_at_makespan,
-            depth_integral=depth_integral,
-            peak_depth=peak_depth,
-            peak_pool=peak_pool,
-            overall_sketch=overall_sketch,
-            tenant_sketches=tenant_sketches,
-            burn=burn,
-            autoscale=autoscale_stats,
-            admission_stats=stats,
-            fleet_label=fleet_label,
-            cost_dollars=cost_dollars,
-            per_type=per_type,
-            faults_label=fault_spec.render() if faulty else "",
-            retry_label=(
-                retry_policy.mode if retry_policy is not None else "none"
-            ),
-            failed=failed,
-            retries=retry_count,
-            crashes=crashes,
-            recoveries=recoveries,
-            slowdowns=slowdowns,
-            zone_outages=zone_outages,
-            hedges_fired=hedges_fired,
-            hedges_cancelled=hedges_cancelled,
-        )
-
-    def _report(
-        self,
-        horizon: float,
-        makespan: float,
-        offered: int,
-        served: int,
-        batches: int,
-        busy_seconds: float,
-        instance_seconds: float,
-        depth_integral: float,
-        peak_depth: int,
-        peak_pool: int,
-        overall_sketch: object,
-        tenant_sketches: dict[str, object],
-        burn: BurnRateTracker,
-        autoscale: AutoscaleStats | None,
-        admission_stats: AdmissionStats | None,
-        fleet_label: str = "",
-        cost_dollars: float = 0.0,
-        per_type: tuple[TypeUsage, ...] = (),
-        faults_label: str = "",
-        retry_label: str = "none",
-        failed: int = 0,
-        retries: int = 0,
-        crashes: int = 0,
-        recoveries: int = 0,
-        slowdowns: int = 0,
-        zone_outages: int = 0,
-        hedges_fired: int = 0,
-        hedges_cancelled: int = 0,
-    ) -> ServingReport:
-        window = makespan if makespan > 0 else 1.0
+    def _report(self, run: "_Run") -> ServingReport:
+        window = run.makespan if run.makespan > 0 else 1.0
+        served = run.served
+        burn = run.burn
         tenants: dict[str, TenantReport] = {}
-        for name in sorted(tenant_sketches):
-            sketch = tenant_sketches[name]
+        for name in sorted(run.tenant_sketches):
+            sketch = run.tenant_sketches[name]
             completed = sketch.count  # type: ignore[attr-defined]
             tenants[name] = TenantReport(
                 tenant=name,
@@ -1394,43 +490,798 @@ class ServingEngine:
                 slo_violation_rate=burn.violations_for(name) / completed,
             )
         return ServingReport(
-            horizon_seconds=horizon,
-            makespan_seconds=makespan,
+            horizon_seconds=run.horizon,
+            makespan_seconds=run.makespan,
             instances=self.instances,
             slo_seconds=self.slo_seconds,
-            offered=offered,
+            offered=run.offered,
             completed=served,
-            batches=batches,
+            batches=run.batches,
             throughput_qps=served / window,
             utilization=(
-                busy_seconds / instance_seconds if instance_seconds > 0 else 0.0
+                run.busy_seconds / run.instance_seconds
+                if run.instance_seconds > 0
+                else 0.0
             ),
-            mean_batch_size=served / batches if batches else 0.0,
-            mean_queue_depth=depth_integral / window,
-            peak_queue_depth=peak_depth,
-            latency=overall_sketch.summary(),  # type: ignore[attr-defined]
+            mean_batch_size=served / run.batches if run.batches else 0.0,
+            mean_queue_depth=run.depth_integral / window,
+            peak_queue_depth=run.peak_depth,
+            latency=run.overall_sketch.summary(),  # type: ignore[attr-defined]
             slo_violation_rate=burn.violations / served if served else 0.0,
             tenants=tenants,
-            instance_seconds=instance_seconds,
-            peak_instances=peak_pool,
-            autoscale=autoscale,
-            admission=admission_stats,
+            instance_seconds=run.instance_seconds,
+            peak_instances=run.peak_pool,
+            autoscale=run.autoscale_stats,
+            admission=run.stats,
             burn=burn.report(),
-            fleet=fleet_label,
+            fleet=self.fleet_spec.render() if run.fleet.is_typed else "",
             routing=self.routing,
-            cost_dollars=cost_dollars,
-            per_type=per_type,
-            faults=faults_label,
-            retry=retry_label,
-            failed=failed,
-            retries=retries,
-            crashes=crashes,
-            recoveries=recoveries,
-            slowdowns=slowdowns,
-            zone_outages=zone_outages,
-            hedges_fired=hedges_fired,
-            hedges_cancelled=hedges_cancelled,
+            cost_dollars=run.cost_dollars,
+            per_type=run.per_type,
+            faults=run.fault_spec.render() if run.faulty else "",
+            retry=run.retry_policy.mode if run.retry_policy is not None else "none",
+            failed=run.failed,
+            retries=run.retries,
+            crashes=run.crashes,
+            recoveries=run.recoveries,
+            slowdowns=run.slowdowns,
+            zone_outages=run.zone_outages,
+            hedges_fired=run.hedges_fired,
+            hedges_cancelled=run.hedges_cancelled,
             availability=(
-                served / (served + failed) if served + failed > 0 else 1.0
+                served / (served + run.failed) if served + run.failed > 0 else 1.0
             ),
         )
+
+
+class _Run:
+    """The state of one :meth:`ServingEngine.run`.
+
+    Holds the event heap, the fleet, the per-target scheduler queues, the
+    reliability bookkeeping, and every counter the report reads.  Each
+    event kind has one handler method; :meth:`simulate` pops the heap,
+    integrates occupancy over the elapsed time in loop locals, and
+    dispatches.  Controllers and telemetry the engine was not given stay
+    ``None``, so the default path skips them with one check each.
+    """
+
+    def __init__(
+        self,
+        engine: ServingEngine,
+        requests: Sequence[Request] | None,
+        closed_loop: ClosedLoopPool | None,
+        horizon_seconds: float | None,
+    ) -> None:
+        self.service = engine.service
+        self.instances = engine.instances
+        self.closed_loop = closed_loop
+        self.events: list[tuple[float, int, int, object]] = []
+        self._seq = itertools.count()
+        fleet = self.fleet = TypedReplicaPool(
+            engine.fleet_spec, default_warmup_seconds=engine.warmup_seconds
+        )
+        slices = self.slices = fleet.slices
+        self.typed = fleet.is_typed
+
+        initial = closed_loop.initial_requests() if requests is None else list(requests)
+        self.offered = 0
+        for request in sorted(initial, key=lambda r: (r.arrival_time, r.request_id)):
+            if horizon_seconds is not None and request.arrival_time >= horizon_seconds:
+                continue
+            self.push(request.arrival_time, _ARRIVE, request)
+            self.offered += 1
+        self.horizon = horizon = horizon_seconds or max(
+            (r.arrival_time for r in initial), default=0.0
+        )
+        autoscaler, admission = engine.autoscaler, engine.admission
+        fault_spec, retry_policy = engine.faults, engine.retry_policy
+        recorder, sampler, registry = engine.recorder, engine.sampler, engine.registry
+        if not self.offered:
+            # Nothing arrives inside the horizon, so nothing runs: arm no
+            # controller and no telemetry; the report carries only the
+            # fleet and routing labels.
+            autoscaler = admission = fault_spec = retry_policy = None
+            recorder = sampler = registry = None
+            self.typed = False
+        self.autoscaler = autoscaler
+        self.admission = admission
+        self.stats = (
+            AdmissionStats(mode=admission.mode) if admission is not None else None
+        )
+
+        # The routing layer: one scheduler queue per target, the engine's
+        # scheduler serving as the first queue and the prototype for the
+        # rest.  Each instance type drains its declared targets in
+        # priority order, capped by its own batch ceiling.
+        policy = self.policy = make_routing(
+            engine.routing, fleet.types, seed=engine.routing_seed
+        )
+        targets = self.targets = policy.targets()
+        first = engine.scheduler
+        schedulers = self.schedulers = {
+            target: (first if i == 0 else first.spawn())
+            for i, target in enumerate(targets)
+        }
+        self.max_wait = first.max_wait_seconds
+        self.serve_plan = [
+            (
+                s,
+                s.itype.max_batch or None,
+                tuple(schedulers[t] for t in policy.serves(s.itype.name)),
+                s.itype.service_scale,
+            )
+            for s in slices
+        ]
+        # Which slices serve each target: the health view behind
+        # failure-aware routing and hedging (a target is healthy while
+        # any serving slice has an instance up or warming).
+        self.serving_slices = {
+            target: tuple(s for s in slices if target in policy.serves(s.itype.name))
+            for target in targets
+        }
+
+        # Telemetry.  A disabled recorder resolves to None here, once, so
+        # the event loop never pays for tracing it is not doing.
+        self.rec = recorder if recorder is not None and recorder.enabled else None
+        self.sampler = sampler
+        self.registry = registry
+        self.seen_requests: set[int] = set()  # first-arrival dedup, tracing only
+        self.burn = BurnRateTracker(
+            slo_seconds=engine.slo_seconds,
+            budget=engine.violation_budget,
+            window_seconds=engine.burn_window_seconds
+            or max(horizon / 8.0, 1e-9),
+        )
+        self.metrics_backend = engine.metrics_backend
+        self.overall_sketch = make_sketch(engine.metrics_backend)
+        self.tenant_sketches: dict[str, object] = {}
+
+        # Reliability machinery (fault injection / retries / hedging),
+        # untouched unless armed — which keeps the default path
+        # bit-identical to the pre-reliability engine.
+        self.fault_spec = fault_spec
+        self.injector = (
+            FaultInjector(fault_spec, engine.fault_seed, len(slices))
+            if fault_spec is not None
+            else None
+        )
+        self.faulty = self.injector is not None
+        # Failure-aware routing needs a second target to fall back to.
+        self.reroute = self.faulty and len(targets) > 1
+        self.retry_policy = retry_policy
+        self.hedge_seconds = engine.hedge_seconds
+        self.hedging = self.hedge_seconds > 0
+        self.in_flight: dict[tuple[int, int], object] = {}
+        self.crashed_handles: set[tuple[int, int]] = set()
+        self.slow_until = [0.0] * len(slices)
+        self.attempt_count: dict[int, int] = {}  # failed attempts per request
+        self.finished_ids: set[int] = set()  # hedging: departed-or-failed ids
+        self.copies: dict[int, int] = {}  # hedging: extra outstanding copies
+        self.route_of: dict[int, str] = {}  # hedging: the primary copy's target
+
+        self.depth = 0  # requests waiting across every target queue
+        self.peak_depth = self.arrived = self.served = self.batches = 0
+        self.failed = self.retries = self.crashes = self.recoveries = 0
+        self.slowdowns = self.zone_outages = 0
+        self.hedges_fired = self.hedges_cancelled = 0
+        self.peak_pool = self.min_pool = fleet.provisioned
+        self.scale_events: list[ScalingEvent] = []
+        self.tick_busy_mark = 0.0
+        self.tick_pool_mark = 0.0
+
+    def push(self, time: float, kind: int, payload: object) -> None:
+        heapq.heappush(self.events, (time, kind, next(self._seq), payload))
+
+    def depth_of(self, target: str) -> int:
+        """One target queue's depth (what routing policies inspect)."""
+        return self.schedulers[target].queue_depth
+
+    # ------------------------------------------------------------------
+    # The event loop
+    # ------------------------------------------------------------------
+    def simulate(self) -> None:
+        """Arm the controllers, drain the heap, then settle the totals."""
+        if self.autoscaler is not None:
+            self.push(self.autoscaler.interval_seconds, _AUTOSCALE, None)
+        if self.faulty:
+            self._seed_faults()
+        events = self.events
+        fleet = self.fleet
+        sampler = self.sampler
+        depart = self._depart
+        handlers = (
+            None,
+            self._warmed,
+            self._arrive,
+            self._timeout,
+            None,
+            self._fault,
+            self._recover,
+            self._retry,
+            self._hedge,
+        )
+        depth_integral = 0.0  # queued requests x time
+        busy_integral = 0.0  # busy instances x time
+        pool_integral = 0.0  # provisioned (billed) instances x time
+        busy_at_makespan = 0.0
+        pool_at_makespan = 0.0
+        last_time = 0.0
+        makespan = 0.0
+        while events:
+            now, kind, _, payload = heapq.heappop(events)
+            dt = now - last_time
+            depth_integral += self.depth * dt
+            busy_integral += fleet.busy_count * dt
+            pool_integral += fleet.provisioned * dt
+            last_time = now
+            if sampler is not None and now >= sampler.next_time:
+                sampler.record(now, self._fleet_state(busy_integral, pool_integral))
+            if kind == _DEPART:
+                # Only departures advance the makespan: stale TIMEOUT (or
+                # autoscale-tick) events outliving the last departure are
+                # no-ops and must not inflate the throughput/utilization
+                # window — the billing integrals are snapshotted here too.
+                if depart(now, payload):
+                    makespan = now
+                    busy_at_makespan = busy_integral
+                    pool_at_makespan = pool_integral
+            elif kind == _AUTOSCALE:
+                self._autoscale(now, busy_integral, pool_integral)
+            else:
+                handlers[kind](now, payload)
+
+        self.makespan = makespan
+        self.depth_integral = depth_integral
+        self.busy_seconds = busy_at_makespan
+        self.instance_seconds = pool_at_makespan
+        if self.stats is not None:
+            self.stats.offered = self.offered
+        if self.rec is not None:
+            self.rec.finish()
+        if sampler is not None:
+            # Extend the series through the run horizon so its length is a
+            # deterministic function of horizon / interval alone.
+            sampler.record(
+                max(self.horizon, last_time),
+                self._fleet_state(busy_integral, pool_integral),
+            )
+        self.autoscale_stats = (
+            AutoscaleStats(
+                policy=self.autoscaler.kind,
+                peak_instances=self.peak_pool,
+                min_instances=self.min_pool,
+                final_instances=fleet.target_size,
+                scale_out_events=sum(1 for e in self.scale_events if e.delta > 0),
+                scale_in_events=sum(1 for e in self.scale_events if e.delta < 0),
+                events=tuple(self.scale_events),
+            )
+            if self.autoscaler is not None
+            else None
+        )
+        # The homogeneous default fleet bills $1/s, so its cost is exactly
+        # the instance-seconds integral and the per-type breakdown stays
+        # empty (pre-fleet reports pinned).
+        if self.typed:
+            self.per_type = fleet.usage()
+            self.cost_dollars = sum(u.cost_dollars for u in self.per_type)
+        else:
+            self.per_type = ()
+            self.cost_dollars = pool_at_makespan
+        if self.registry is not None:
+            self._export(self.registry)
+
+    def _seed_faults(self) -> None:
+        """One event per armed fault process.
+
+        Seeds and re-arms alike only land inside the admission horizon, so
+        the fault stream always terminates and the post-horizon drain runs
+        fault-free (counters and billing integrals stay inside the run).
+        """
+        spec, injector, horizon = self.fault_spec, self.injector, self.horizon
+        if spec.mtbf > 0:
+            for i, s in enumerate(self.slices):
+                gap = injector.next_crash_gap(s.provisioned)
+                if gap < horizon:
+                    self.push(gap, _FAULT, ("crash", i))
+        if spec.slow_mtbf > 0:
+            for i in range(len(self.slices)):
+                gap = injector.next_slowdown_gap()
+                if gap < horizon:
+                    self.push(gap, _FAULT, ("slow", i))
+        if spec.zone_mtbf > 0:
+            gap = injector.next_zone_gap()
+            if gap < horizon:
+                self.push(gap, _FAULT, ("zone", -1))
+
+    # ------------------------------------------------------------------
+    # Event handlers, one per kind
+    # ------------------------------------------------------------------
+    def _depart(self, now: float, payload: object) -> bool:
+        """A replica finished a batch; ``False`` if the departure is stale."""
+        handle, batch = payload  # type: ignore[misc]
+        if self.faulty:
+            if handle in self.crashed_handles:
+                # The instance died mid-batch: its requests took the
+                # failure path at crash time, the fleet slot was released
+                # by the crash itself — this departure must not double-free.
+                self.crashed_handles.discard(handle)
+                return False
+            del self.in_flight[handle]
+        fleet = self.fleet
+        fleet.release(handle, now)
+        rec = self.rec
+        hedging = self.hedging
+        attempt_count = self.attempt_count if self.faulty else None
+        burn = self.burn
+        overall_sketch = self.overall_sketch
+        tenant_sketches = self.tenant_sketches
+        closed_loop = self.closed_loop
+        served = self.served
+        for request in batch.requests:  # type: ignore[attr-defined]
+            if hedging:
+                rid = request.request_id
+                if rid in self.finished_ids:
+                    # The losing hedge copy: the winner already recorded
+                    # this request's latency (or its failure).
+                    self.hedges_cancelled += 1
+                    self.copies.pop(rid, None)
+                    if rec is not None:
+                        label = fleet.label(handle)
+                        rec.request_event(
+                            now, SPAN_HEDGE_CANCELLED, request, instance=label
+                        )
+                    continue
+                self.finished_ids.add(rid)
+            if attempt_count:
+                # A previously failed request finally succeeded.
+                attempt_count.pop(request.request_id, None)
+            latency = now - request.arrival_time
+            sketch = tenant_sketches.get(request.tenant)
+            if sketch is None:
+                sketch = tenant_sketches[request.tenant] = make_sketch(
+                    self.metrics_backend
+                )
+            sketch.add(latency)  # type: ignore[attr-defined]
+            overall_sketch.add(latency)
+            violated = burn.observe(now, request.tenant, latency)
+            served += 1
+            if rec is not None:
+                rec.request_event(
+                    now, SPAN_DEPART, request, instance=fleet.label(handle),
+                    latency=latency, violated=violated,
+                )
+            if closed_loop is not None:
+                self._follow_up(now)
+        self.slices[handle[0]].completed += served - self.served
+        self.served = served
+        self._dispatch(now)
+        return True
+
+    def _warmed(self, now: float, handle: object) -> None:
+        if self.fleet.warmed(handle, now):  # type: ignore[arg-type]
+            if self.rec is not None:
+                label = self.fleet.label(handle)
+                self.rec.fleet_event(now, FLEET_WARMED, instance=label)
+            self._dispatch(now)
+
+    def _arrive(self, now: float, request: Request) -> None:
+        self.arrived += 1
+        rec = self.rec
+        if rec is not None and request.request_id not in self.seen_requests:
+            self.seen_requests.add(request.request_id)
+            rec.request_event(now, SPAN_ARRIVE, request)
+        if self.admission is not None:
+            if not self._admit(now, request):
+                return
+        elif rec is not None:
+            rec.request_event(now, SPAN_ADMIT, request, reason="open")
+        if self.hedging:
+            # Armed once per request, at its first (admitted) enqueue;
+            # fires only if still unfinished then.
+            self.push(now + self.hedge_seconds, _HEDGE, request)
+        self._enqueue(request, now)
+
+    def _timeout(self, now: float, payload: object) -> None:
+        # The queue head may have exceeded its wait.
+        self._dispatch(now)
+
+    def _autoscale(
+        self, now: float, busy_integral: float, pool_integral: float
+    ) -> None:
+        """Observe the interval, maybe resize the fleet."""
+        fleet = self.fleet
+        interval_busy = busy_integral - self.tick_busy_mark
+        interval_pool = pool_integral - self.tick_pool_mark
+        self.tick_busy_mark = busy_integral
+        self.tick_pool_mark = pool_integral
+        snapshot = FleetSnapshot(
+            now=now,
+            provisioned=fleet.target_size,
+            ready=fleet.ready_count,
+            busy=fleet.busy_count,
+            warming=fleet.warming_count,
+            queue_depth=self.depth,
+            utilization=(
+                min(interval_busy / interval_pool, 1.0) if interval_pool > 0 else 0.0
+            ),
+        )
+        target = self.autoscaler.decide(snapshot)
+        if target != snapshot.provisioned:
+            for handle, ready_at in fleet.scale_to(target, now):
+                if ready_at > now:
+                    self.push(ready_at, _WARMED, handle)
+            previous = snapshot.provisioned
+            detail = fleet.last_scale_detail if self.typed else ()
+            if self.rec is not None:
+                extra = {"per_type": [list(r) for r in detail]} if self.typed else {}
+                self.rec.fleet_event(
+                    now, FLEET_SCALE, previous=previous, target=target, **extra
+                )
+                for label in fleet.last_rescued:
+                    self.rec.fleet_event(now, FLEET_RESCUE, instance=label)
+            self.scale_events.append(ScalingEvent(now, previous, target, detail))
+            self._dispatch(now)
+        self.peak_pool = max(self.peak_pool, fleet.provisioned)
+        self.min_pool = min(self.min_pool, fleet.target_size)
+        if self.events or self.depth > 0 or fleet.busy_count > 0:
+            self.push(now + self.autoscaler.interval_seconds, _AUTOSCALE, None)
+
+    def _fault(self, now: float, payload: object) -> None:
+        what, idx = payload  # type: ignore[misc]
+        spec, injector = self.fault_spec, self.injector
+        if what == "crash":
+            victim = injector.pick_victim(self.fleet.instance_ids(idx))
+            if victim is not None:
+                self._crash((idx, victim), now, spec.mttr)
+            gap = injector.next_crash_gap(self.slices[idx].provisioned)
+            if now + gap < self.horizon:
+                self.push(now + gap, _FAULT, ("crash", idx))
+        elif what == "slow":
+            self.slowdowns += 1
+            self.slow_until[idx] = now + spec.slow_duration
+            if self.rec is not None:
+                self.rec.fleet_event(
+                    now, FLEET_SLOWDOWN, type=self.slices[idx].itype.name,
+                    factor=spec.slow_factor, until=self.slow_until[idx],
+                )
+            gap = injector.next_slowdown_gap()
+            if now + gap < self.horizon:
+                self.push(now + gap, _FAULT, ("slow", idx))
+        else:  # zone outage: correlated teardown across slices
+            zone = injector.pick_zone()
+            self.zone_outages += 1
+            victims = [
+                (s.index, instance)
+                for s in self.slices
+                for instance in s.instance_ids()
+                if injector.zone_of(instance) == zone
+            ]
+            if self.rec is not None:
+                killed = len(victims)
+                self.rec.fleet_event(now, FLEET_ZONE_OUTAGE, zone=zone, killed=killed)
+            for handle in victims:
+                self._crash(handle, now, spec.zone_mttr)
+            gap = injector.next_zone_gap()
+            if now + gap < self.horizon:
+                self.push(now + gap, _FAULT, ("zone", -1))
+
+    def _recover(self, now: float, index: object) -> None:
+        self.recoveries += 1
+        handle, ready_at = self.fleet.restore(index, now)  # type: ignore[arg-type]
+        if self.rec is not None:
+            label = self.fleet.label(handle)
+            self.rec.fleet_event(now, FLEET_RECOVER, instance=label, ready_at=ready_at)
+        if ready_at > now:
+            self.push(ready_at, _WARMED, handle)
+        else:
+            self._dispatch(now)
+
+    def _retry(self, now: float, request: Request) -> None:
+        # Admission was already paid at the original arrival.
+        self._enqueue(request, now)
+
+    def _hedge(self, now: float, request: Request) -> None:
+        """Duplicate a still-unfinished request onto another queue."""
+        rid = request.request_id
+        primary = self.route_of.pop(rid, None)
+        if rid not in self.finished_ids:
+            self.hedges_fired += 1
+            self.copies[rid] = self.copies.get(rid, 0) + 1
+            if self.rec is not None:
+                self.rec.request_event(now, SPAN_HEDGE_FIRED, request)
+            self._enqueue(request, now, exclude=primary)
+
+    # ------------------------------------------------------------------
+    # Shared steps
+    # ------------------------------------------------------------------
+    def _admit(self, now: float, request: Request) -> bool:
+        """Gate one arrival; a refused one is shed or tarpitted here."""
+        # Graceful degradation: with part of the fleet down, the queue
+        # budget tightens to the healthy fraction of declared capacity.
+        fraction = self.fleet.provisioned / self.instances if self.faulty else 1.0
+        decision = self.admission.admit(
+            request.tenant, now, self.depth, capacity_fraction=fraction
+        )
+        stats = self.stats
+        rec = self.rec
+        if decision.admitted:
+            stats.admitted += 1
+            if rec is not None:
+                rec.request_event(now, SPAN_ADMIT, request, reason=decision.reason)
+            return True
+        retry_at = now + decision.retry_after_seconds
+        if decision.retry_after_seconds > 0 and retry_at < self.horizon:
+            stats.tarpitted += 1
+            if rec is not None:
+                rec.request_event(
+                    now, SPAN_TARPIT, request, reason=decision.reason, retry_at=retry_at
+                )
+            self.push(retry_at, _ARRIVE, request)
+            return False
+        stats.shed += 1
+        stats.shed_by_reason[decision.reason] = (
+            stats.shed_by_reason.get(decision.reason, 0) + 1
+        )
+        stats.per_tenant_shed[request.tenant] = (
+            stats.per_tenant_shed.get(request.tenant, 0) + 1
+        )
+        if rec is not None:
+            rec.request_event(now, SPAN_SHED, request, reason=decision.reason)
+        if self.closed_loop is not None:
+            # The refused client errors out and retries after a backoff
+            # (the controller's tarpit delay), so the clock advances even
+            # for zero-think-time pools — an instant retry against a
+            # still-full queue would livelock the simulation.
+            self._follow_up(now + self.admission.tarpit_seconds)
+        return False
+
+    def _enqueue(
+        self, request: Request, now: float, exclude: str | None = None
+    ) -> None:
+        """Route a request to a target queue and arm its batching deadline.
+
+        ``exclude`` steers a hedged duplicate away from the target
+        already carrying the primary copy.
+        """
+        if exclude is None and not self.reroute:
+            target = self.policy.route(request, self.depth_of)
+        else:
+            target = self._healthy_route(request, exclude)
+        self.schedulers[target].enqueue(request)
+        if self.hedging:
+            self.route_of[request.request_id] = target
+        self.depth += 1
+        if self.rec is not None:
+            self.rec.request_event(
+                now, SPAN_ENQUEUE, request, queue_depth=self.depth
+            )
+        if self.depth > self.peak_depth:
+            self.peak_depth = self.depth
+        if self.max_wait > 0:
+            self.push(now + self.max_wait, _TIMEOUT, None)
+        self._dispatch(now)
+
+    def _healthy(self, target: str) -> bool:
+        """Whether any slice serving ``target`` has capacity alive."""
+        return any(
+            s.ready_count + s.warming_count > 0 for s in self.serving_slices[target]
+        )
+
+    def _least_loaded(self, targets: Sequence[str]) -> str:
+        return min(targets, key=lambda t: (self.depth_of(t), t))
+
+    def _healthy_route(self, request: Request, exclude: str | None) -> str:
+        """Failure-aware routing: fall back to the least-loaded healthy
+        target when the policy's pick has no capacity left.
+
+        A hedged duplicate (``exclude`` = the primary's target) goes to
+        the least-loaded *other* healthy target when one exists — the
+        point of hedging is a second, independent path — and only falls
+        back to the primary's target when it is the sole survivor.
+        """
+        if exclude is not None:
+            alive = [
+                t for t in self.targets if t != exclude and self._healthy(t)
+            ]
+            if alive:
+                return self._least_loaded(alive)
+        target = self.policy.route(request, self.depth_of)
+        if not self._healthy(target):
+            alive = [t for t in self.targets if self._healthy(t)]
+            if alive:
+                target = self._least_loaded(alive)
+        return target
+
+    def _dispatch(self, now: float) -> None:
+        """Start every batch a free replica can take right now."""
+        fleet = self.fleet
+        rec = self.rec
+        for slice_, limit, scheds, scale in self.serve_plan:
+            while slice_.has_free():
+                batch = None
+                for sched in scheds:
+                    if sched.ready(now, limit):
+                        batch = sched.pop_batch(now, limit)
+                        break
+                if batch is None:
+                    break
+                self.depth -= len(batch.requests)
+                handle = fleet.acquire(slice_.index, now)
+                seconds = self.service.batch_service_seconds(batch.graph_sizes)
+                if scale != 1.0:
+                    seconds *= scale
+                if self.faulty:
+                    if now < self.slow_until[slice_.index]:
+                        seconds *= self.fault_spec.slow_factor
+                    self.in_flight[handle] = batch
+                self.batches += 1
+                if rec is not None:
+                    label, size = fleet.label(handle), len(batch.requests)
+                    for request in batch.requests:
+                        rec.request_event(
+                            now, SPAN_DISPATCH, request, instance=label,
+                            batch_size=size, service_seconds=seconds,
+                        )
+                self.push(now + seconds, _DEPART, (handle, batch))
+
+    def _follow_up(self, now: float) -> None:
+        """Closed loop: a finished (or refused) client owes its next request."""
+        follow_up = self.closed_loop.next_request(now)
+        if follow_up.arrival_time < self.horizon:
+            self.push(follow_up.arrival_time, _ARRIVE, follow_up)
+            self.offered += 1
+
+    def _fail_attempt(self, request: Request, now: float) -> None:
+        """One service attempt died with its instance: retry or fail."""
+        rid = request.request_id
+        if self.hedging:
+            if rid in self.finished_ids:
+                self.copies.pop(rid, None)  # late copy of a settled request
+                return
+            extra = self.copies.get(rid, 0)
+            if extra > 0:
+                # A surviving copy (queued or in flight) still carries the
+                # request; the duplicate absorbs this failure.
+                self.copies[rid] = extra - 1
+                return
+        attempt = self.attempt_count.get(rid, 0) + 1
+        delay = (
+            self.retry_policy.next_delay(request, attempt, now)
+            if self.retry_policy is not None
+            else None
+        )
+        if delay is None:
+            self.failed += 1
+            self.attempt_count.pop(rid, None)
+            if self.hedging:
+                self.finished_ids.add(rid)
+                self.copies.pop(rid, None)
+                self.route_of.pop(rid, None)
+            if self.rec is not None:
+                self.rec.request_event(now, SPAN_FAIL, request, attempts=attempt)
+            if self.closed_loop is not None:
+                # The client saw an error; it owes its next request.
+                self._follow_up(now)
+            return
+        self.attempt_count[rid] = attempt
+        self.retries += 1
+        if self.rec is not None:
+            self.rec.request_event(
+                now, SPAN_RETRY, request, attempt=attempt, retry_at=now + delay
+            )
+        self.push(now + delay, _RETRY, request)
+
+    def _crash(self, handle: tuple[int, int], now: float, repair: float) -> None:
+        """Tear one instance down and fail whatever it was serving."""
+        self.crashes += 1
+        state = self.fleet.crash(handle, now)
+        if self.rec is not None:
+            label = self.fleet.label(handle)
+            self.rec.fleet_event(now, FLEET_CRASH, instance=label, state=state)
+        if state in ("busy", "retiring"):
+            batch = self.in_flight.pop(handle)
+            # The already-scheduled DEPART for this batch is now stale;
+            # the set tells the depart handler to discard it (instance
+            # ids are never reused, so at most one outstanding departure
+            # can ever match a handle).
+            self.crashed_handles.add(handle)
+            for request in batch.requests:  # type: ignore[attr-defined]
+                self._fail_attempt(request, now)
+        if state != "retiring":
+            # A retiring instance was leaving anyway; everyone else gets a
+            # replacement once the repair completes.
+            self.push(now + repair, _RECOVER, handle[0])
+        if self._eject_dead_targets():
+            self._dispatch(now)
+
+    def _eject_dead_targets(self) -> int:
+        """Move requests stranded behind targets with no capacity onto the
+        least-loaded healthy targets; returns how many moved (a total
+        outage moves nothing — those queues wait for recoveries)."""
+        alive = [t for t in self.targets if self._healthy(t)]
+        if not alive:
+            return 0
+        moved = 0
+        for target in self.targets:
+            sched = self.schedulers[target]
+            if target in alive or sched.queue_depth == 0:
+                continue
+            for request in sched.drain():
+                self.schedulers[self._least_loaded(alive)].enqueue(request)
+                moved += 1
+        return moved
+
+    # ------------------------------------------------------------------
+    # Telemetry
+    # ------------------------------------------------------------------
+    def _fleet_state(
+        self, busy_integral: float, pool_integral: float
+    ) -> dict[str, object]:
+        """What one Sampler row holds (state before the current event).
+
+        Typed fleets add per-type and per-target columns; the homogeneous
+        default keeps exactly the pre-fleet columns.
+        """
+        fleet = self.fleet
+        stats = self.stats
+        state: dict[str, object] = {
+            "ready": fleet.ready_count,
+            "warming": fleet.warming_count,
+            "busy": fleet.busy_count,
+            "retiring": fleet.retiring_count,
+            "provisioned": fleet.provisioned,
+            "queue_depth": self.depth,
+            "arrived": self.arrived,
+            "admitted": stats.admitted if stats is not None else self.arrived,
+            "shed": stats.shed if stats is not None else 0,
+            "tarpitted": stats.tarpitted if stats is not None else 0,
+            "completed": self.served,
+            "utilization": (
+                round(busy_integral / pool_integral, 9) if pool_integral > 0 else 0.0
+            ),
+        }
+        if self.typed:
+            for s in self.slices:
+                state[f"provisioned[{s.itype.name}]"] = s.provisioned
+                state[f"busy[{s.itype.name}]"] = s.busy_count
+            for target in self.targets:
+                state[f"queue_depth[{target}]"] = self.depth_of(target)
+        return state
+
+    def _export(self, registry: MetricRegistry) -> None:
+        """Fill the metric registry with the run's counters and sketches."""
+        counter, gauge = registry.counter, registry.gauge
+        if self.faulty or self.retry_policy is not None or self.hedging:
+            # Reliability counters appear only when the machinery was
+            # armed: default-run registry contents stay pinned.
+            counter("requests_failed").inc(self.failed)
+            counter("requests_retried").inc(self.retries)
+            counter("instances_crashed").inc(self.crashes)
+            counter("instances_recovered").inc(self.recoveries)
+            counter("hedges_fired").inc(self.hedges_fired)
+            counter("hedges_cancelled").inc(self.hedges_cancelled)
+        counter("requests_offered").inc(self.offered)
+        counter("arrival_events").inc(self.arrived)
+        counter("requests_completed").inc(self.served)
+        counter("batches_dispatched").inc(self.batches)
+        counter("slo_violations").inc(self.burn.violations)
+        if self.stats is not None:
+            counter("admission_admitted").inc(self.stats.admitted)
+            counter("admission_shed").inc(self.stats.shed)
+            counter("admission_tarpitted").inc(self.stats.tarpitted)
+        gauge("peak_queue_depth").set(self.peak_depth)
+        gauge("peak_instances").set(self.peak_pool)
+        gauge("final_instances").set(self.fleet.target_size)
+        gauge("instance_seconds").set(self.instance_seconds)
+        gauge("makespan_seconds").set(self.makespan)
+        if self.typed:
+            gauge("cost_dollars").set(self.cost_dollars)
+        for u in self.per_type:
+            gauge(f"instance_seconds[{u.name}]").set(u.instance_seconds)
+            gauge(f"peak_instances[{u.name}]").set(u.peak)
+            counter(f"requests_completed[{u.name}]").inc(u.completed)
+            counter(f"batches_dispatched[{u.name}]").inc(u.batches)
+        registry.attach_histogram("latency_seconds", self.overall_sketch)
+        for tenant in sorted(self.tenant_sketches):
+            sketch = self.tenant_sketches[tenant]
+            registry.attach_histogram(f"latency_seconds[{tenant}]", sketch)

@@ -15,17 +15,17 @@ that into a model:
 * :class:`FleetSpec` — a declared composition such as
   ``small:2,large:1``, parsed from and rendered back to the CLI string
   form.  A bare instance count is the degenerate spec ``default:N``.
-* :class:`TypedReplicaPool` — the multi-type generalization of
-  :class:`ReplicaPool`: one single-type pool per declared slice, global
-  dispatch/billing views the engine aggregates over, per-type
-  warming/draining accounting, and lazily-integrated per-type
-  instance-seconds and $-cost (accrued only when a slice's occupancy
-  changes, so the event loop never pays per-event for the accounting).
+* :class:`TypedReplicaPool` — the live fleet: one slice per declared
+  type, each holding its instances' states (warming / free / busy /
+  retiring) plus lazily-integrated instance-seconds and busy-seconds
+  (accrued only when the slice's occupancy changes, so the event loop
+  never pays per event for the accounting).  The pool keeps the
+  aggregate counts the engine reads on every event and builds the
+  per-type :class:`TypeUsage` a serving report carries.
 
-The single-type pool :class:`ReplicaPool` lives here too (the serving
-engine re-exports it for compatibility); it is unchanged in behavior —
-a fleet of one ``default`` slice is bit-identical to the pre-fleet
-engine, which is what the serving regression baseline pins.
+A homogeneous fleet is a one-slice ``default`` pool; its output is
+bit-identical to the pre-fleet engine, which is what the serving
+regression baseline pins.
 
 Scale-out across types follows a cost-weighted order (see
 :func:`repro.serve.autoscale.allocate_fleet`): the cheapest capacity is
@@ -234,58 +234,71 @@ def coerce_fleet(
     return FleetSpec(slices=tuple((name, count) for name, count in fleet))
 
 
-class ReplicaPool:
-    """A dynamic set of replica instances with warm-up and draining.
+
+@dataclass(frozen=True)
+class TypeUsage:
+    """What one fleet slice did over a serving run."""
+
+    name: str
+    initial: int
+    peak: int
+    final: int
+    instance_seconds: float
+    busy_seconds: float
+    cost_dollars: float
+    batches: int
+    completed: int
+
+
+class _Slice:
+    """One instance type's replicas: their states plus billing integrals.
 
     Instances move through four states: *warming* (provisioned, billed,
     not yet serving), *free* (idle, dispatchable), *busy* (occupied by a
-    batch), and *retiring* (busy, will leave the pool when the batch
+    batch), and *retiring* (busy, will leave the slice when the batch
     finishes instead of returning to free).  ``provisioned`` counts
     everything billed; ``target_size`` excludes retiring instances — it
-    is the size the pool is converging to and what the autoscaler reasons
-    about.
+    is the size the slice is converging to.
 
     Scale-in removes the cheapest capacity first: instances still warming
     (nothing lost), then idle ones, and only then does it mark busy
     instances to retire on departure.  Scale-out conversely rescues
     retiring instances before provisioning cold ones — a draining replica
-    is already warm.  All choices are by instance id, so the pool is
-    deterministic.
+    is already warm.  All choices are by instance id, so the slice is
+    deterministic.  A slice may drain to zero instances; the fleet keeps
+    at least one overall.
 
-    ``min_size`` exists for the typed fleet: a slice of a heterogeneous
-    pool may legitimately drain to zero instances as long as the *fleet*
-    keeps at least one; the pre-fleet single-pool contract (at least one
-    instance, always) is the default.
+    Billed and busy instance-seconds integrate lazily: every mutating
+    method accrues the integrals up to ``now`` *before* it changes the
+    occupancy, so the event loop never pays per event for the accounting.
     """
 
+    __slots__ = (
+        "itype", "index", "warmup_seconds", "_free", "_busy", "_retiring",
+        "_warming", "_next_id", "last_rescued", "instance_integral",
+        "busy_integral", "last_accrued", "peak", "batches", "completed",
+    )
+
     def __init__(
-        self,
-        instances: int,
-        warmup_seconds: float = 0.0,
-        min_size: int = 1,
+        self, itype: InstanceType, index: int, instances: int, warmup_seconds: float
     ) -> None:
-        if min_size < 0:
-            raise ValueError("min_size must be non-negative")
-        if instances < min_size:
-            raise ValueError(
-                f"need at least one instance, got {instances}"
-                if min_size == 1
-                else f"need at least {min_size} instance(s), got {instances}"
-            )
-        if warmup_seconds < 0:
-            raise ValueError("warm-up must be non-negative")
+        self.itype = itype
+        self.index = index
         self.warmup_seconds = warmup_seconds
-        self.min_size = min_size
         self._free: list[int] = list(range(instances))
-        heapq.heapify(self._free)
         self._busy: set[int] = set()
         self._retiring: set[int] = set()
         self._warming: dict[int, float] = {}
         self._next_id = instances
         #: Instances the most recent :meth:`scale_to` rescued from
-        #: draining (already warm, so they rejoin without a warm-up) —
-        #: what the trace recorder reports as ``rescue`` events.
+        #: draining (already warm, so they rejoin without a warm-up).
         self.last_rescued: tuple[int, ...] = ()
+        self.instance_integral = 0.0
+        self.busy_integral = 0.0
+        self.last_accrued = 0.0
+        self.peak = instances
+        self.batches = 0
+        self.completed = 0
 
     # ------------------------------------------------------------------
     # State
@@ -297,7 +310,7 @@ class ReplicaPool:
 
     @property
     def target_size(self) -> int:
-        """Where the pool is heading once retiring instances drain."""
+        """Where the slice is heading once retiring instances drain."""
         return self.provisioned - len(self._retiring)
 
     @property
@@ -320,36 +333,6 @@ class ReplicaPool:
     def has_free(self) -> bool:
         return bool(self._free)
 
-    # ------------------------------------------------------------------
-    # Dispatch lifecycle
-    # ------------------------------------------------------------------
-    def acquire(self) -> int:
-        """Take the lowest-id free instance for a batch."""
-        instance = heapq.heappop(self._free)
-        self._busy.add(instance)
-        return instance
-
-    def release(self, instance: int) -> bool:
-        """Return a finished instance; ``False`` when it retires instead."""
-        self._busy.discard(instance)
-        if instance in self._retiring:
-            self._retiring.discard(instance)
-            return False
-        heapq.heappush(self._free, instance)
-        return True
-
-    def warmed(self, instance: int) -> bool:
-        """Promote a warmed instance to free (``False`` if it was
-        cancelled by a scale-in while still warming)."""
-        if instance not in self._warming:
-            return False
-        del self._warming[instance]
-        heapq.heappush(self._free, instance)
-        return True
-
-    # ------------------------------------------------------------------
-    # Faults
-    # ------------------------------------------------------------------
     def instance_ids(self) -> tuple[int, ...]:
         """Every provisioned instance id (free + busy + warming), sorted.
 
@@ -358,7 +341,60 @@ class ReplicaPool:
         """
         return tuple(sorted([*self._free, *self._busy, *self._warming]))
 
-    def kill(self, instance: int) -> str:
+    # ------------------------------------------------------------------
+    # Billing
+    # ------------------------------------------------------------------
+    def _accrue(self, now: float) -> None:
+        dt = now - self.last_accrued
+        if dt > 0:
+            self.instance_integral += self.provisioned * dt
+            self.busy_integral += len(self._busy) * dt
+            self.last_accrued = now
+
+    def instance_seconds(self, now: float) -> float:
+        """Billed instance-seconds through ``now`` (no mutation)."""
+        return self.instance_integral + self.provisioned * max(
+            0.0, now - self.last_accrued
+        )
+
+    def busy_seconds(self, now: float) -> float:
+        """Busy instance-seconds through ``now`` (no mutation)."""
+        return self.busy_integral + len(self._busy) * max(
+            0.0, now - self.last_accrued
+        )
+
+    # ------------------------------------------------------------------
+    # Lifecycle (every mutation accrues first)
+    # ------------------------------------------------------------------
+    def acquire(self, now: float) -> int:
+        """Take the lowest-id free instance for a batch."""
+        self._accrue(now)
+        self.batches += 1
+        instance = heapq.heappop(self._free)
+        self._busy.add(instance)
+        return instance
+
+    def release(self, instance: int, now: float) -> bool:
+        """Return a finished instance; ``False`` when it retires instead."""
+        self._accrue(now)
+        self._busy.discard(instance)
+        if instance in self._retiring:
+            self._retiring.discard(instance)
+            return False
+        heapq.heappush(self._free, instance)
+        return True
+
+    def warmed(self, instance: int, now: float) -> bool:
+        """Promote a warmed instance to free (``False`` if it was
+        cancelled by a scale-in or a crash while still warming)."""
+        self._accrue(now)
+        if instance not in self._warming:
+            return False
+        del self._warming[instance]
+        heapq.heappush(self._free, instance)
+        return True
+
+    def kill(self, instance: int, now: float) -> str:
         """Tear ``instance`` down regardless of state (fault injection).
 
         Returns the state it was in (``"warming"`` / ``"free"`` /
@@ -366,6 +402,7 @@ class ReplicaPool:
         that state implied — a busy victim has an in-flight batch to
         fail, a warming one only loses its pending warm-up event.
         """
+        self._accrue(now)
         if instance in self._warming:
             del self._warming[instance]
             return "warming"
@@ -379,13 +416,8 @@ class ReplicaPool:
         heapq.heapify(self._free)
         return "free"
 
-    def provision(self, now: float) -> tuple[int, float]:
-        """Provision one fresh instance (fault recovery).
-
-        Returns ``(instance, ready_time)`` exactly like one entry of
-        :meth:`scale_to`'s result: the replacement pays the normal
-        warm-up before it can serve.
-        """
+    def _start(self, now: float) -> tuple[int, float]:
+        """Provision one fresh instance; returns ``(id, ready_time)``."""
         instance = self._next_id
         self._next_id += 1
         if self.warmup_seconds > 0:
@@ -395,22 +427,22 @@ class ReplicaPool:
         heapq.heappush(self._free, instance)
         return (instance, now)
 
-    # ------------------------------------------------------------------
-    # Scaling
-    # ------------------------------------------------------------------
+    def provision(self, now: float) -> tuple[int, float]:
+        """Provision one replacement instance (fault recovery); it pays
+        the normal warm-up before it can serve."""
+        self._accrue(now)
+        started = self._start(now)
+        self.peak = max(self.peak, self.provisioned)
+        return started
+
     def scale_to(self, target: int, now: float) -> list[tuple[int, float]]:
-        """Move the pool's ``target_size`` to ``target``.
+        """Move ``target_size`` to ``target``.
 
         Returns ``(instance, ready_time)`` for each newly provisioned
         instance so the engine can schedule its warm-up completion
         (``ready_time == now`` when there is no warm-up delay).
         """
-        if target < self.min_size:
-            raise ValueError(
-                f"cannot scale below one instance, got {target}"
-                if self.min_size == 1
-                else f"cannot scale below {self.min_size}, got {target}"
-            )
+        self._accrue(now)
         started: list[tuple[int, float]] = []
         rescued: list[int] = []
         # Grow: rescue draining instances first — they are already warm.
@@ -420,15 +452,7 @@ class ReplicaPool:
             rescued.append(instance)
         self.last_rescued = tuple(rescued)
         while self.target_size < target:
-            instance = self._next_id
-            self._next_id += 1
-            if self.warmup_seconds > 0:
-                ready_at = now + self.warmup_seconds
-                self._warming[instance] = ready_at
-                started.append((instance, ready_at))
-            else:
-                heapq.heappush(self._free, instance)
-                started.append((instance, now))
+            started.append(self._start(now))
         # Shrink: cancel warm-ups, then idle instances, then drain busy ones.
         while self.target_size > target and self._warming:
             del self._warming[max(self._warming)]
@@ -440,79 +464,18 @@ class ReplicaPool:
             if not candidates:
                 break
             self._retiring.add(max(candidates))
+        self.peak = max(self.peak, self.provisioned)
         return started
 
 
-@dataclass(frozen=True)
-class TypeUsage:
-    """What one fleet slice did over a serving run."""
-
-    name: str
-    initial: int
-    peak: int
-    final: int
-    instance_seconds: float
-    busy_seconds: float
-    cost_dollars: float
-    batches: int
-    completed: int
-
-
-class _Slice:
-    """One instance type's pool plus its lazily-accrued billing integrals."""
-
-    __slots__ = (
-        "itype", "pool", "index", "instance_integral", "busy_integral",
-        "last_accrued", "peak", "minimum", "batches", "completed",
-    )
-
-    def __init__(self, itype: InstanceType, pool: ReplicaPool, index: int) -> None:
-        self.itype = itype
-        self.pool = pool
-        self.index = index
-        self.instance_integral = 0.0
-        self.busy_integral = 0.0
-        self.last_accrued = 0.0
-        self.peak = pool.provisioned
-        self.minimum = pool.provisioned
-        self.batches = 0
-        self.completed = 0
-
-    def accrue(self, now: float) -> None:
-        """Integrate billed/busy occupancy up to ``now`` (call *before*
-        any mutation that changes the occupancy)."""
-        dt = now - self.last_accrued
-        if dt > 0:
-            self.instance_integral += self.pool.provisioned * dt
-            self.busy_integral += self.pool.busy_count * dt
-            self.last_accrued = now
-
-    def instance_seconds(self, now: float) -> float:
-        """Billed instance-seconds through ``now`` (no mutation)."""
-        return self.instance_integral + self.pool.provisioned * max(
-            0.0, now - self.last_accrued
-        )
-
-    def busy_seconds(self, now: float) -> float:
-        """Busy instance-seconds through ``now`` (no mutation)."""
-        return self.busy_integral + self.pool.busy_count * max(
-            0.0, now - self.last_accrued
-        )
-
-
 class TypedReplicaPool:
-    """A heterogeneous fleet: one :class:`ReplicaPool` per instance type.
+    """The serving fleet: one slice per declared instance type.
 
     The engine's dispatch loop addresses instances by *handle* — a
-    ``(slice index, local id)`` pair — and reads aggregate counts
-    (``provisioned`` / ``busy_count`` / ...) exactly as it read the
-    single pool before, so a one-slice ``default`` fleet reproduces the
-    pre-fleet engine bit for bit.
-
-    Per-type billing (instance-seconds and $-cost) is accrued lazily on
-    occupancy changes rather than per event: the hot event loop keeps
-    its integer-count integrals, and the typed accounting costs one
-    accrual per scale/dispatch transition.
+    ``(slice index, local id)`` pair — and reads the aggregate counts
+    ``provisioned`` and ``busy_count``, kept incrementally so every event
+    reads them in O(1).  A homogeneous fleet is simply a one-slice
+    ``default`` pool.
 
     Scale decisions arrive as a *total* fleet size (the autoscaler
     policies are composition-blind); :func:`repro.serve.autoscale
@@ -520,169 +483,129 @@ class TypedReplicaPool:
     order.
     """
 
-    def __init__(
-        self,
-        spec: FleetSpec,
-        default_warmup_seconds: float = 0.0,
-    ) -> None:
+    def __init__(self, spec: FleetSpec, default_warmup_seconds: float = 0.0) -> None:
         if default_warmup_seconds < 0:
             raise ValueError("warm-up must be non-negative")
         self.spec = spec
-        self.default_warmup_seconds = default_warmup_seconds
+        #: Whether the fleet differs from the homogeneous ``default:N``.
+        self.is_typed = not spec.is_default
         self.slices: list[_Slice] = []
         for index, (name, count) in enumerate(spec.slices):
             itype = get_instance_type(name)
-            warmup = (
-                itype.warmup_seconds
-                if itype.warmup_seconds is not None
-                else default_warmup_seconds
-            )
-            pool = ReplicaPool(count, warmup_seconds=warmup, min_size=0)
-            self.slices.append(_Slice(itype, pool, index))
+            warmup = itype.warmup_seconds
+            if warmup is None:
+                warmup = default_warmup_seconds
+            self.slices.append(_Slice(itype, index, count, warmup))
         self.types: tuple[InstanceType, ...] = tuple(s.itype for s in self.slices)
-        # Aggregate occupancy, maintained incrementally: the engine's
-        # event loop reads these once per event, so they must stay O(1)
-        # rather than a sum over slices.
-        self._provisioned = sum(s.pool.provisioned for s in self.slices)
-        self._busy = 0
+        self.provisioned = spec.total()
+        self.busy_count = 0
+        #: Per-slice ``(instance-s, busy-s)`` billed through the latest
+        #: release on a typed fleet: the window a serving report covers.
+        self._billed_at_release = [(0.0, 0.0)] * len(self.slices)
         #: Per-type ``(name, previous, target)`` detail of the most
         #: recent :meth:`scale_to` (what typed scale events report).
         self.last_scale_detail: tuple[tuple[str, int, int], ...] = ()
-        #: Rescued-instance labels of the most recent :meth:`scale_to`
-        #: (bare ints on the pure-default path, matching pre-fleet traces).
+        #: Rescued-instance labels of the most recent :meth:`scale_to`.
         self.last_rescued: tuple[int | str, ...] = ()
 
     # ------------------------------------------------------------------
-    # Aggregate state (the engine's event-loop view)
+    # Aggregate state
     # ------------------------------------------------------------------
     @property
-    def is_typed(self) -> bool:
-        """Whether the fleet differs from the pre-fleet ``default:N``."""
-        return not self.spec.is_default
-
-    @property
-    def provisioned(self) -> int:
-        return self._provisioned
-
-    @property
     def target_size(self) -> int:
-        return sum(s.pool.target_size for s in self.slices)
+        return sum(s.target_size for s in self.slices)
 
     @property
     def ready_count(self) -> int:
-        return sum(s.pool.ready_count for s in self.slices)
-
-    @property
-    def busy_count(self) -> int:
-        return self._busy
+        return sum(s.ready_count for s in self.slices)
 
     @property
     def warming_count(self) -> int:
-        return sum(s.pool.warming_count for s in self.slices)
+        return sum(s.warming_count for s in self.slices)
 
     @property
     def retiring_count(self) -> int:
-        return sum(s.pool.retiring_count for s in self.slices)
+        return sum(s.retiring_count for s in self.slices)
 
     def has_free(self) -> bool:
-        return any(s.pool.has_free() for s in self.slices)
-
-    # ------------------------------------------------------------------
-    # Dispatch lifecycle (handle = (slice index, local instance id))
-    # ------------------------------------------------------------------
-    def acquire(self, index: int, now: float) -> tuple[int, int]:
-        slice_ = self.slices[index]
-        slice_.accrue(now)
-        slice_.batches += 1
-        self._busy += 1
-        return (index, slice_.pool.acquire())
-
-    def release(self, handle: tuple[int, int], now: float) -> bool:
-        index, instance = handle
-        slice_ = self.slices[index]
-        slice_.accrue(now)
-        self._busy -= 1
-        returned = slice_.pool.release(instance)
-        if not returned:  # the instance retired instead of going free
-            self._provisioned -= 1
-        return returned
-
-    def warmed(self, handle: tuple[int, int], now: float) -> bool:
-        index, instance = handle
-        slice_ = self.slices[index]
-        slice_.accrue(now)
-        return slice_.pool.warmed(instance)
-
-    # ------------------------------------------------------------------
-    # Faults
-    # ------------------------------------------------------------------
-    def instance_ids(self, index: int) -> tuple[int, ...]:
-        """Provisioned instance ids of slice ``index`` (victim pool)."""
-        return self.slices[index].pool.instance_ids()
-
-    def crash(self, handle: tuple[int, int], now: float) -> str:
-        """Tear down a crashed instance; returns its prior state.
-
-        Billing invariant: the slice accrues up to ``now`` *before* the
-        kill, so a busy victim's partial busy-seconds land in its type's
-        integrals and the cached ``_busy`` aggregate never goes negative
-        — the crash is billed exactly like a departure that happened at
-        the crash instant.
-        """
-        index, instance = handle
-        slice_ = self.slices[index]
-        slice_.accrue(now)
-        state = slice_.pool.kill(instance)
-        self._provisioned -= 1
-        if state in ("busy", "retiring"):
-            self._busy -= 1
-        slice_.minimum = min(slice_.minimum, slice_.pool.target_size)
-        return state
-
-    def restore(self, index: int, now: float) -> tuple[tuple[int, int], float]:
-        """Provision one replacement instance in slice ``index``.
-
-        Returns ``(handle, ready_time)``; the replacement pays the
-        slice's normal warm-up, so recovery is never instantaneous
-        unless provisioning itself is.
-        """
-        slice_ = self.slices[index]
-        slice_.accrue(now)
-        instance, ready_at = slice_.pool.provision(now)
-        self._provisioned += 1
-        slice_.peak = max(slice_.peak, slice_.pool.provisioned)
-        return ((index, instance), ready_at)
+        return any(s.has_free() for s in self.slices)
 
     def label(self, handle: tuple[int, int]) -> int | str:
-        """Trace-friendly instance name.
-
-        The pre-fleet engine traced bare integer ids; a pure-default
-        fleet keeps that form so recorded traces stay bit-identical.
-        Typed fleets qualify the id with the type name.
-        """
+        """Trace-friendly instance name: the bare id on a homogeneous
+        ``default`` fleet, ``"type:id"`` on a typed one."""
         index, instance = handle
         if not self.is_typed:
             return instance
         return f"{self.slices[index].itype.name}:{instance}"
 
     # ------------------------------------------------------------------
+    # Dispatch lifecycle (handle = (slice index, local instance id))
+    # ------------------------------------------------------------------
+    def acquire(self, index: int, now: float) -> tuple[int, int]:
+        self.busy_count += 1
+        return (index, self.slices[index].acquire(now))
+
+    def release(self, handle: tuple[int, int], now: float) -> bool:
+        index, instance = handle
+        self.busy_count -= 1
+        returned = self.slices[index].release(instance, now)
+        if not returned:  # the instance retired instead of going free
+            self.provisioned -= 1
+        if self.is_typed:
+            self._billed_at_release = [
+                (s.instance_seconds(now), s.busy_seconds(now))
+                for s in self.slices
+            ]
+        return returned
+
+    def warmed(self, handle: tuple[int, int], now: float) -> bool:
+        index, instance = handle
+        return self.slices[index].warmed(instance, now)
+
+    # ------------------------------------------------------------------
+    # Faults
+    # ------------------------------------------------------------------
+    def instance_ids(self, index: int) -> tuple[int, ...]:
+        """Provisioned instance ids of slice ``index`` (victim pool)."""
+        return self.slices[index].instance_ids()
+
+    def crash(self, handle: tuple[int, int], now: float) -> str:
+        """Tear down a crashed instance; returns its prior state.
+
+        The slice accrues up to ``now`` *before* the kill, so a busy
+        victim's partial busy-seconds land in its type's integrals — the
+        crash is billed exactly like a departure at the crash instant.
+        """
+        index, instance = handle
+        state = self.slices[index].kill(instance, now)
+        self.provisioned -= 1
+        if state in ("busy", "retiring"):
+            self.busy_count -= 1
+        return state
+
+    def restore(self, index: int, now: float) -> tuple[tuple[int, int], float]:
+        """Provision one replacement instance in slice ``index``; returns
+        ``(handle, ready_time)`` after the slice's normal warm-up."""
+        instance, ready_at = self.slices[index].provision(now)
+        self.provisioned += 1
+        return ((index, instance), ready_at)
+
+    # ------------------------------------------------------------------
     # Scaling
     # ------------------------------------------------------------------
-    def scale_to(
-        self, target: int, now: float
-    ) -> list[tuple[tuple[int, int], float]]:
+    def scale_to(self, target: int, now: float) -> list[tuple[tuple[int, int], float]]:
         """Move the fleet's total ``target_size`` to ``target``.
 
         The split across slices follows the cost-weighted allocation
         (cheapest capacity provisioned first, most expensive retired
         first); returns ``(handle, ready_time)`` per newly provisioned
-        instance, exactly like :meth:`ReplicaPool.scale_to`.
+        instance.
         """
         from repro.serve.autoscale import allocate_fleet
 
         if target < 1:
             raise ValueError(f"cannot scale below one instance, got {target}")
-        current = [s.pool.target_size for s in self.slices]
+        current = [s.target_size for s in self.slices]
         desired = allocate_fleet(
             current,
             target,
@@ -695,23 +618,19 @@ class TypedReplicaPool:
         for slice_, previous, want in zip(self.slices, current, desired):
             if want == previous:
                 continue
-            slice_.accrue(now)
-            for instance, ready_at in slice_.pool.scale_to(want, now):
+            for instance, ready_at in slice_.scale_to(want, now):
                 started.append(((slice_.index, instance), ready_at))
             detail.append((slice_.itype.name, previous, want))
             rescued.extend(
-                self.label((slice_.index, i))
-                for i in slice_.pool.last_rescued
+                self.label((slice_.index, i)) for i in slice_.last_rescued
             )
-            slice_.peak = max(slice_.peak, slice_.pool.provisioned)
-            slice_.minimum = min(slice_.minimum, slice_.pool.target_size)
         self.last_scale_detail = tuple(detail)
         self.last_rescued = tuple(rescued)
         # Scaling moves instances through every state (cancelled
         # warm-ups, retired idlers, fresh provisions): recompute the
-        # cached aggregates once per scale decision, O(slices).
-        self._provisioned = sum(s.pool.provisioned for s in self.slices)
-        self._busy = sum(s.pool.busy_count for s in self.slices)
+        # aggregates once per scale decision, O(slices).
+        self.provisioned = sum(s.provisioned for s in self.slices)
+        self.busy_count = sum(s.busy_count for s in self.slices)
         return started
 
     # ------------------------------------------------------------------
@@ -724,28 +643,29 @@ class TypedReplicaPool:
             for s in self.slices
         )
 
-    def usage(self, now: float, initial: Sequence[int] | None = None) -> tuple[
-        TypeUsage, ...
-    ]:
-        """Per-type usage snapshot through ``now``."""
-        initial = (
-            initial
-            if initial is not None
-            else [count for _, count in self.spec.slices]
+    def usage(self, now: float | None = None) -> tuple[TypeUsage, ...]:
+        """Per-type usage through ``now`` — by default through the latest
+        release on a typed fleet, the window a serving report bills."""
+        billed = (
+            self._billed_at_release
+            if now is None
+            else [(s.instance_seconds(now), s.busy_seconds(now)) for s in self.slices]
         )
         return tuple(
             TypeUsage(
                 name=s.itype.name,
-                initial=initial[s.index],
+                initial=count,
                 peak=s.peak,
-                final=s.pool.target_size,
-                instance_seconds=s.instance_seconds(now),
-                busy_seconds=s.busy_seconds(now),
-                cost_dollars=s.instance_seconds(now) * s.itype.cost_per_second,
+                final=s.target_size,
+                instance_seconds=instance_seconds,
+                busy_seconds=busy_seconds,
+                cost_dollars=instance_seconds * s.itype.cost_per_second,
                 batches=s.batches,
                 completed=s.completed,
             )
-            for s in self.slices
+            for s, (_, count), (instance_seconds, busy_seconds) in zip(
+                self.slices, self.spec.slices, billed
+            )
         )
 
 

@@ -424,6 +424,12 @@ def serving_key(scenario: ServingScenario) -> str:
     return stable_digest(payload)
 
 
+#: :class:`ServingRecord` fields that describe a run rather than measure it.
+_RECORD_CONTEXT = frozenset(
+    {"label", "key", "scenario", "eval_seconds", "fleet", "routing", "cached"}
+)
+
+
 @dataclass(frozen=True)
 class ServingRecord:
     """Flat, JSON-serializable outcome of one serving scenario."""
@@ -468,35 +474,9 @@ class ServingRecord:
     def metrics(self) -> dict[str, float]:
         """The measured outcome alone — invariant under caching/timing."""
         return {
-            "offered": self.offered,
-            "completed": self.completed,
-            "throughput_qps": self.throughput_qps,
-            "utilization": self.utilization,
-            "mean_latency_seconds": self.mean_latency_seconds,
-            "p50_latency_seconds": self.p50_latency_seconds,
-            "p95_latency_seconds": self.p95_latency_seconds,
-            "p99_latency_seconds": self.p99_latency_seconds,
-            "max_latency_seconds": self.max_latency_seconds,
-            "slo_violation_rate": self.slo_violation_rate,
-            "mean_queue_depth": self.mean_queue_depth,
-            "peak_queue_depth": self.peak_queue_depth,
-            "mean_batch_size": self.mean_batch_size,
-            "instance_seconds": self.instance_seconds,
-            "peak_instances": self.peak_instances,
-            "scale_events": self.scale_events,
-            "admitted": self.admitted,
-            "shed": self.shed,
-            "shed_rate": self.shed_rate,
-            "tarpitted": self.tarpitted,
-            "overall_burn_rate": self.overall_burn_rate,
-            "peak_burn_rate": self.peak_burn_rate,
-            "cost_dollars": self.cost_dollars,
-            "failed": self.failed,
-            "retries": self.retries,
-            "crashes": self.crashes,
-            "hedges_fired": self.hedges_fired,
-            "hedges_cancelled": self.hedges_cancelled,
-            "availability": self.availability,
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in _RECORD_CONTEXT
         }
 
     def to_dict(self) -> dict[str, Any]:
@@ -509,12 +489,8 @@ class ServingRecord:
     def from_dict(
         cls, data: Mapping[str, Any], cached: bool = False
     ) -> "ServingRecord":
-        """Revive a stored record (unknown keys from older schemas dropped)."""
-        payload = {
-            k: v for k, v in dict(data).items() if k in cls.__dataclass_fields__
-        }
-        payload["cached"] = cached
-        return cls(**payload)
+        """Revive a stored record written under the current schema."""
+        return cls(**{**data, "cached": cached})
 
     @classmethod
     def from_report(
@@ -525,6 +501,7 @@ class ServingRecord:
         eval_seconds: float,
     ) -> "ServingRecord":
         """Flatten a full engine report into the storable record."""
+        admission, burn = report.admission, report.burn
         return cls(
             label=scenario.display_label,
             key=key,
@@ -548,24 +525,12 @@ class ServingRecord:
             scale_events=(
                 len(report.autoscale.events) if report.autoscale is not None else 0
             ),
-            admitted=(
-                report.admission.admitted
-                if report.admission is not None
-                else report.offered
-            ),
-            shed=report.admission.shed if report.admission is not None else 0,
-            shed_rate=(
-                report.admission.shed_rate if report.admission is not None else 0.0
-            ),
-            tarpitted=(
-                report.admission.tarpitted if report.admission is not None else 0
-            ),
-            overall_burn_rate=(
-                report.burn.overall_burn_rate if report.burn is not None else 0.0
-            ),
-            peak_burn_rate=(
-                report.burn.peak_burn_rate if report.burn is not None else 0.0
-            ),
+            admitted=admission.admitted if admission is not None else report.offered,
+            shed=admission.shed if admission is not None else 0,
+            shed_rate=admission.shed_rate if admission is not None else 0.0,
+            tarpitted=admission.tarpitted if admission is not None else 0,
+            overall_burn_rate=burn.overall_burn_rate if burn is not None else 0.0,
+            peak_burn_rate=burn.peak_burn_rate if burn is not None else 0.0,
             fleet=report.fleet,
             routing=report.routing,
             cost_dollars=report.cost_dollars,

@@ -217,34 +217,3 @@ class BatchingScheduler:
         self._vclock = self._vtime[tenant]
         return self._queues[tenant].popleft()
 
-
-class SchedulerGroup:
-    """The routing layer's per-target queues, one scheduler per target.
-
-    A thin aggregate over named :class:`BatchingScheduler` instances: the
-    engine enqueues into the target a routing policy picked and reads the
-    *total* queue depth for admission, autoscaling, and sampling — the
-    same number the single shared queue used to report.  Target order is
-    declaration order (deterministic iteration).
-    """
-
-    def __init__(self, schedulers: Mapping[str, BatchingScheduler]) -> None:
-        if not schedulers:
-            raise ValueError("a scheduler group needs at least one target")
-        self._schedulers = dict(schedulers)
-        self.targets: tuple[str, ...] = tuple(self._schedulers)
-
-    def __getitem__(self, target: str) -> BatchingScheduler:
-        return self._schedulers[target]
-
-    def __iter__(self):
-        return iter(self._schedulers.values())
-
-    @property
-    def queue_depth(self) -> int:
-        """Waiting requests summed across every target queue."""
-        return sum(s.queue_depth for s in self._schedulers.values())
-
-    def depth_of(self, target: str) -> int:
-        """One target's queue depth (what routing policies inspect)."""
-        return self._schedulers[target].queue_depth

@@ -16,7 +16,8 @@ from repro.serve.autoscale import (
     TargetUtilizationAutoscaler,
     make_autoscaler,
 )
-from repro.serve.engine import ReplicaPool, ServingEngine
+from repro.serve.engine import ServingEngine
+from repro.serve.fleet import FleetSpec, TypedReplicaPool
 from repro.serve.scheduler import BatchingScheduler
 from repro.serve.service import LinearServiceModel
 
@@ -41,71 +42,84 @@ def engine(instances=1, autoscaler=None, warmup=0.0, max_batch=4,
     )
 
 
+def pool(instances, warmup=0.0):
+    """A homogeneous fleet: a one-slice typed pool of ``default`` replicas."""
+    return TypedReplicaPool(
+        FleetSpec.homogeneous("default", instances),
+        default_warmup_seconds=warmup,
+    )
+
+
 class TestReplicaPool:
     def test_initial_fleet_is_ready(self):
-        pool = ReplicaPool(3, warmup_seconds=0.5)
-        assert pool.provisioned == pool.ready_count == 3
-        assert pool.warming_count == 0
+        fleet = pool(3, warmup=0.5)
+        assert fleet.provisioned == fleet.ready_count == 3
+        assert fleet.warming_count == 0
 
     def test_acquire_release_cycle(self):
-        pool = ReplicaPool(2)
-        a = pool.acquire()
-        assert pool.busy_count == 1 and pool.ready_count == 2
-        assert pool.release(a) is True
-        assert pool.busy_count == 0
+        fleet = pool(2)
+        a = fleet.acquire(0, now=0.0)
+        b = fleet.acquire(0, now=0.0)
+        assert (a, b) == ((0, 0), (0, 1))  # lowest free id first
+        assert fleet.busy_count == 2 and fleet.ready_count == 2
+        assert fleet.release(a, now=0.1) is True
+        assert fleet.busy_count == 1
+        assert fleet.acquire(0, now=0.2) == a
 
     def test_scale_out_warms_then_serves(self):
-        pool = ReplicaPool(1, warmup_seconds=0.1)
-        started = pool.scale_to(3, now=1.0)
-        assert [(i, t) for i, t in started] == [(1, 1.1), (2, 1.1)]
-        assert pool.provisioned == 3 and pool.ready_count == 1
-        assert pool.warmed(1) is True
-        assert pool.ready_count == 2
+        fleet = pool(1, warmup=0.1)
+        started = fleet.scale_to(3, now=1.0)
+        assert started == [((0, 1), 1.1), ((0, 2), 1.1)]
+        assert fleet.provisioned == 3 and fleet.ready_count == 1
+        assert fleet.warmed((0, 1), now=1.1) is True
+        assert fleet.ready_count == 2
 
     def test_scale_out_without_warmup_is_immediate(self):
-        pool = ReplicaPool(1, warmup_seconds=0.0)
-        started = pool.scale_to(2, now=1.0)
-        assert started == [(1, 1.0)]
-        assert pool.ready_count == 2
+        fleet = pool(1)
+        started = fleet.scale_to(2, now=1.0)
+        assert started == [((0, 1), 1.0)]
+        assert fleet.ready_count == 2
 
     def test_scale_in_cancels_warming_first(self):
-        pool = ReplicaPool(1, warmup_seconds=0.1)
-        pool.scale_to(3, now=0.0)
-        pool.scale_to(1, now=0.05)
-        assert pool.provisioned == 1
+        fleet = pool(1, warmup=0.1)
+        fleet.scale_to(3, now=0.0)
+        fleet.scale_to(1, now=0.05)
+        assert fleet.provisioned == 1
         # The cancelled warm-up completion is a no-op.
-        assert pool.warmed(2) is False
+        assert fleet.warmed((0, 2), now=0.1) is False
 
     def test_scale_in_removes_idle_then_drains_busy(self):
-        pool = ReplicaPool(3)
-        first = pool.acquire()
-        second = pool.acquire()
-        pool.scale_to(1, now=0.0)
+        fleet = pool(3)
+        first = fleet.acquire(0, now=0.0)
+        second = fleet.acquire(0, now=0.0)
+        fleet.scale_to(1, now=0.0)
         # The idle instance left immediately; one busy instance still
         # bills until it finishes, then retires instead of rejoining.
-        assert pool.provisioned == 2 and pool.target_size == 1
-        released = [pool.release(first), pool.release(second)]
+        assert fleet.provisioned == 2 and fleet.target_size == 1
+        assert fleet.retiring_count == 1
+        released = [fleet.release(first, now=0.1), fleet.release(second, now=0.1)]
         assert sorted(released) == [False, True]
-        assert pool.provisioned == 1
+        assert fleet.provisioned == 1
 
     def test_scale_out_rescues_draining_instances(self):
-        pool = ReplicaPool(2)
-        first = pool.acquire()
-        second = pool.acquire()
-        pool.scale_to(1, now=0.0)   # one busy instance marked to retire
-        started = pool.scale_to(2, now=0.1)
+        fleet = pool(2)
+        first = fleet.acquire(0, now=0.0)
+        second = fleet.acquire(0, now=0.0)
+        fleet.scale_to(1, now=0.0)   # one busy instance marked to retire
+        started = fleet.scale_to(2, now=0.1)
         assert started == []        # un-retired, nothing new provisioned
-        assert pool.release(first) is True
-        assert pool.release(second) is True
-        assert pool.provisioned == 2
+        assert fleet.last_rescued == (1,)
+        assert fleet.release(first, now=0.2) is True
+        assert fleet.release(second, now=0.2) is True
+        assert fleet.provisioned == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ReplicaPool(0)
+            pool(0)
         with pytest.raises(ValueError):
-            ReplicaPool(1, warmup_seconds=-1.0)
+            pool(1, warmup=-1.0)
         with pytest.raises(ValueError):
-            ReplicaPool(1).scale_to(0, now=0.0)
+            pool(1).scale_to(0, now=0.0)
 
 
 class TestPolicies:

@@ -197,7 +197,7 @@ class TestTypedReplicaPool:
         fleet = TypedReplicaPool(spec, default_warmup_seconds=0.5)
         # Both types inherit the engine default (None in the registry).
         for s in fleet.slices:
-            assert s.pool.warmup_seconds == 0.5
+            assert s.warmup_seconds == 0.5
 
 
 class TestFleetWithTotal:
@@ -215,6 +215,6 @@ class TestFleetWithTotal:
         fleet = TypedReplicaPool(spec)
         fleet.scale_to(6, now=0.0)
         live = {
-            s.itype.name: s.pool.target_size for s in fleet.slices
+            s.itype.name: s.target_size for s in fleet.slices
         }
         assert live == fleet_with_total(spec, 6).counts()

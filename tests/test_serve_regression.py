@@ -163,51 +163,3 @@ def test_inert_reliability_machinery_is_bit_identical(name: str) -> None:
         if not line.startswith("reliability [")
     )
     assert stripped == expected["render"]
-
-
-def test_schema_v3_records_revive_with_v4_defaults() -> None:
-    """Cached payloads written before the fleet fields existed must still
-    load: the v4 keys fall back to their compatibility defaults."""
-    scenario = ServingScenario(**SCENARIOS["open-fifo"])
-    report = simulate_serving_scenario(scenario)
-    record = ServingRecord.from_report(
-        scenario, report, key="-", eval_seconds=0.0
-    )
-    payload = json.loads(json.dumps(record.to_dict()))
-    for key in ("fleet", "routing", "cost_dollars"):
-        del payload[key]
-    payload["legacy_only_key"] = 42  # unknown keys are dropped, not fatal
-    revived = ServingRecord.from_dict(payload, cached=True)
-    assert revived.fleet == ""
-    assert revived.routing == "shared_queue"
-    assert revived.cost_dollars == 0.0
-    assert revived.cached
-    assert revived.metrics() | {"cost_dollars": record.cost_dollars} == (
-        record.metrics()
-    )
-
-
-def test_schema_v4_records_revive_with_v5_defaults() -> None:
-    """Cached payloads written before the reliability fields existed must
-    still load: the v5 keys fall back to their fault-free defaults."""
-    scenario = ServingScenario(**SCENARIOS["open-fifo"])
-    report = simulate_serving_scenario(scenario)
-    record = ServingRecord.from_report(
-        scenario, report, key="-", eval_seconds=0.0
-    )
-    payload = json.loads(json.dumps(record.to_dict()))
-    v5_keys = (
-        "failed", "retries", "crashes", "hedges_fired",
-        "hedges_cancelled", "availability",
-    )
-    for key in v5_keys:
-        del payload[key]
-    revived = ServingRecord.from_dict(payload, cached=True)
-    assert revived.failed == 0
-    assert revived.retries == 0
-    assert revived.crashes == 0
-    assert revived.hedges_fired == 0
-    assert revived.hedges_cancelled == 0
-    assert revived.availability == 1.0
-    assert revived.cached
-    assert revived.metrics() == record.metrics()
