@@ -9,7 +9,9 @@
 """
 
 from benchmarks.conftest import run_once
-from repro.core.dse import pareto_front, sweep_tiers
+from repro.campaign.analysis import pareto_front
+from repro.campaign.executor import run_campaign
+from repro.campaign.spec import CampaignSpec, Scenario
 from repro.noc.analysis import latency_throughput_sweep
 from repro.noc.topology import Mesh3D
 from repro.reram.variation import VariationModel, relative_error_study
@@ -17,13 +19,16 @@ from repro.utils.units import format_seconds
 
 
 def test_extension_tier_sweep(benchmark):
-    points = run_once(
-        benchmark, sweep_tiers, [2, 3, 4, 6], workload_dataset="reddit", scale=0.01
+    spec = CampaignSpec(
+        name="tiers",
+        base=Scenario(dataset="reddit", scale=0.01),
+        axes=(("tiers", (2, 3, 4, 6)),),
     )
-    print("\ndesign    epoch        energy(J)  peak(C)  feasible")
+    points = run_once(benchmark, run_campaign, spec).records
+    print("\ndesign           epoch        energy(J)  peak(C)  feasible")
     for p in points:
         print(
-            f"{p.label:<9} {format_seconds(p.epoch_seconds):<12} "
+            f"{p.label:<16} {format_seconds(p.epoch_seconds):<12} "
             f"{p.epoch_energy_joules:<10.2f} {p.peak_celsius:<8.1f} "
             f"{p.thermally_feasible}"
         )
@@ -31,7 +36,7 @@ def test_extension_tier_sweep(benchmark):
     print(f"Pareto front: {[p.label for p in front]}")
     temps = [p.peak_celsius for p in points]
     assert temps == sorted(temps)  # stacking always heats up
-    three_tier = next(p for p in points if p.label == "3-tier")
+    three_tier = next(p for p in points if p.scenario["tiers"] == 3)
     assert three_tier.thermally_feasible  # the paper's design point holds
 
 

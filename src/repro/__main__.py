@@ -26,8 +26,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from repro.campaign.analysis import pareto_front
 from repro.campaign.executor import run_campaign
 from repro.campaign.presets import get_preset, preset_names
+from repro.campaign.results import CampaignResult
+from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import DEFAULT_ROOT, ResultStore
 from repro.core import (
     ReGraphX,
@@ -84,29 +87,47 @@ def cmd_sweep(args: argparse.Namespace) -> None:
         raise SystemExit("sweep: --preset NAME required (see --list-presets)")
     spec = get_preset(args.preset)
     if args.seed is not None:
+        _reject_swept("sweep", spec, {"seed": "--seed"})
         spec = replace(spec, base=replace(spec.base, seed=args.seed))
     store = None if args.no_cache else ResultStore(args.cache)
     print(f"campaign {spec.summary()}  (jobs={args.jobs})")
-    if args.progress:
-        # Structured streaming: start events, hit/computed split, ETA.
-        result = run_campaign(
-            spec,
-            jobs=args.jobs,
-            store=store,
-            on_event=lambda event: print(event.render()),
-        )
-    else:
-        result = run_campaign(spec, jobs=args.jobs, store=store, progress=print)
-    out = Path(args.out)
-    json_path = result.to_json(out / f"{spec.name}.json")
-    csv_path = result.to_csv(out / f"{spec.name}.csv")
-    print()
-    print(result.table().render())
-    front = result.pareto()
+    result = _run_campaign(spec, args, store)
+    front = pareto_front(result.records)
     print()
     print(f"pareto front ({len(front)}/{len(result)}): "
           + ", ".join(r.label for r in front))
-    print(f"wrote {json_path} and {csv_path}")
+    _print_campaign_footer(spec, args, result)
+
+
+def _reject_swept(command: str, spec: CampaignSpec, flags: dict[str, str]) -> None:
+    """Refuse a flag that sets a field the preset sweeps (it would be lost)."""
+    for axis, _ in spec.axes:
+        if axis in flags:
+            raise SystemExit(
+                f"{command}: {flags[axis]} sets {axis!r}, which preset "
+                f"{spec.name!r} sweeps; drop the flag or pick another preset"
+            )
+
+
+def _run_campaign(
+    spec: CampaignSpec, args: argparse.Namespace, store: ResultStore | None
+) -> CampaignResult:
+    """Run ``spec`` with streamed progress, export it, print its table."""
+    result = run_campaign(
+        spec, jobs=args.jobs, store=store, on_event=lambda e: print(e.render())
+    )
+    result.to_json(Path(args.out) / f"{spec.name}.json")
+    result.to_csv(Path(args.out) / f"{spec.name}.csv")
+    print()
+    print(result.table().render())
+    return result
+
+
+def _print_campaign_footer(
+    spec: CampaignSpec, args: argparse.Namespace, result: CampaignResult
+) -> None:
+    out = Path(args.out)
+    print(f"wrote {out / f'{spec.name}.json'} and {out / f'{spec.name}.csv'}")
     print(
         f"{result.misses} computed, {result.hits} cached, "
         f"{result.elapsed_seconds:.1f}s wall"
@@ -170,9 +191,7 @@ def cmd_serve(args: argparse.Namespace) -> None:
         ServingRecord,
         ServingScenario,
         get_serving_preset,
-        run_serving_campaign,
         scenario_with,
-        serving_key,
         serving_preset_names,
         simulate_serving_scenario,
     )
@@ -186,6 +205,7 @@ def cmd_serve(args: argparse.Namespace) -> None:
         return
 
     overrides = {}
+    flags = {}
     for field_name, arg_name in (
         ("dataset", "dataset"),
         ("scale", "scale"),
@@ -209,20 +229,16 @@ def cmd_serve(args: argparse.Namespace) -> None:
         ("faults", "faults"),
         ("retry", "retry"),
         ("retry_max_attempts", "retry_attempts"),
+        ("max_wait_seconds", "max_wait_ms"),
+        ("slo_seconds", "slo_ms"),
+        ("warmup_seconds", "warmup_ms"),
+        ("tarpit_seconds", "tarpit_ms"),
+        ("hedge_seconds", "hedge_ms"),
     ):
         value = getattr(args, arg_name)
         if value is not None:
-            overrides[field_name] = value
-    if args.max_wait_ms is not None:
-        overrides["max_wait_seconds"] = args.max_wait_ms / 1e3
-    if args.slo_ms is not None:
-        overrides["slo_seconds"] = args.slo_ms / 1e3
-    if args.warmup_ms is not None:
-        overrides["warmup_seconds"] = args.warmup_ms / 1e3
-    if args.tarpit_ms is not None:
-        overrides["tarpit_seconds"] = args.tarpit_ms / 1e3
-    if args.hedge_ms is not None:
-        overrides["hedge_seconds"] = args.hedge_ms / 1e3
+            overrides[field_name] = value / 1e3 if arg_name.endswith("_ms") else value
+            flags[field_name] = "--" + arg_name.replace("_", "-")
     if args.autoscale is not None and args.autoscale != "none" and not args.preset:
         # Enabling the autoscaler from scratch starts the fleet at the
         # floor (that is the point of closing the loop); a preset's own
@@ -251,24 +267,14 @@ def cmd_serve(args: argparse.Namespace) -> None:
             )
         try:
             spec = get_serving_preset(args.preset)
+            _reject_swept("serve", spec, flags)
             if overrides:
                 spec = replace(spec, base=scenario_with(spec.base, **overrides))
         except ValueError as error:
             raise SystemExit(f"serve: {error}")
         print(f"serving campaign {spec.summary()}  (jobs={args.jobs})")
-        result = run_serving_campaign(
-            spec, jobs=args.jobs, store=store, progress=print
-        )
-        out = Path(args.out)
-        json_path = result.to_json(out / f"{spec.name}.json")
-        csv_path = result.to_csv(out / f"{spec.name}.csv")
-        print()
-        print(result.table().render())
-        print(f"wrote {json_path} and {csv_path}")
-        print(
-            f"{result.misses} computed, {result.hits} cached, "
-            f"{result.elapsed_seconds:.1f}s wall"
-        )
+        result = _run_campaign(spec, args, store)
+        _print_campaign_footer(spec, args, result)
         return
 
     trace = None
@@ -374,7 +380,7 @@ def cmd_serve(args: argparse.Namespace) -> None:
     # never touch the store — the key describes the scenario, not the
     # injected stream.
     if store is not None and trace is None:
-        key = serving_key(scenario)
+        key = scenario.content_key()
         if key not in store:
             record = ServingRecord.from_report(scenario, report, key, elapsed)
             store.put(key, record.to_dict())
@@ -460,11 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--prune", type=int, default=None, metavar="MAX",
         help="evict oldest cached records down to MAX entries and exit",
-    )
-    sweep.add_argument(
-        "--progress", action="store_true",
-        help="stream structured progress (start events, hit/computed "
-        "split, ETA) instead of one line per finished scenario",
     )
 
     serve = sub.add_parser(

@@ -1,10 +1,7 @@
-"""Analysis hooks over campaign results.
+"""Analysis over campaign results: Pareto fronts and summary tables.
 
-Campaign records are plain JSON-able rows; these helpers lift them back
-into the DSE vocabulary — :class:`~repro.core.dse.DesignPoint` and
-``pareto_front`` — so everything the DSE layer knows how to do applies to
-persisted campaign output too.  Imports of :mod:`repro.core.dse` stay
-inside functions: dse itself runs its sweeps through this package.
+Both work on stored records directly, so a campaign revived from the
+result store is analysed exactly like a freshly computed one.
 """
 
 from __future__ import annotations
@@ -12,81 +9,42 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.campaign.results import CampaignResult, ScenarioRecord
-from repro.campaign.spec import Scenario
-from repro.core.config import ReGraphXConfig
 
 
-def to_design_point(
-    record: ScenarioRecord,
-    base_config: ReGraphXConfig | None = None,
-    scenario: Scenario | None = None,
-):
-    """Rebuild the DSE view of one record.
-
-    The config is rematerialized from ``scenario`` (pass the scenario you
-    executed — the content key guarantees it describes the evaluated
-    architecture even on a cross-sweep cache hit).  Without one, the
-    record's stored knobs are used, which is only exact when
-    ``base_config`` matches the base the record was produced against.
-    """
-    from repro.core.dse import DesignPoint
-
-    if scenario is None:
-        scenario = Scenario.from_dict(record.scenario)
-    return DesignPoint(
-        label=record.label,
-        config=scenario.to_config(base_config),
-        epoch_seconds=record.epoch_seconds,
-        epoch_energy_joules=record.epoch_energy_joules,
-        peak_celsius=record.peak_celsius,
-        thermally_feasible=record.thermally_feasible,
-    )
+def _objectives(record: ScenarioRecord) -> tuple[float, float, float]:
+    return (record.epoch_seconds, record.epoch_energy_joules, record.peak_celsius)
 
 
-def pareto_records(
-    records: Sequence[ScenarioRecord],
-    base_config: ReGraphXConfig | None = None,
-) -> list[ScenarioRecord]:
+def pareto_front(records: Sequence[ScenarioRecord]) -> list[ScenarioRecord]:
     """Pareto-efficient records on (epoch time, energy, peak temperature).
 
-    Reuses :func:`repro.core.dse.pareto_front`; identity of the converted
-    points maps the front back onto the original records.
+    A record is dominated if another is no worse on all three axes and
+    strictly better on at least one.  Duplicate points never dominate
+    each other, so exact ties all survive.  Input order is kept.
     """
-    from repro.core.dse import pareto_front
-
-    points = [to_design_point(r, base_config) for r in records]
-    front = {id(p) for p in pareto_front(points)}
-    return [r for r, p in zip(records, points) if id(p) in front]
-
-
-def best_record(
-    records: Sequence[ScenarioRecord], metric: str = "edp"
-) -> ScenarioRecord:
-    """The feasible record minimizing ``metric`` (any over infeasible)."""
-    if not records:
-        raise ValueError("no records to rank")
-    feasible = [r for r in records if r.thermally_feasible] or list(records)
-    return min(feasible, key=lambda r: getattr(r, metric))
+    points = [_objectives(r) for r in records]
+    return [
+        record
+        for record, p in zip(records, points)
+        if not any(q != p and all(a <= b for a, b in zip(q, p)) for q in points)
+    ]
 
 
 def campaign_table(result: CampaignResult):
-    """Fixed-width summary of a campaign run (what the CLI prints)."""
+    """Fixed-width summary of a campaign run (what the CLI prints).
+
+    Columns and cells come from the record class, so architecture and
+    serving campaigns share this one table.
+    """
     from repro.experiments.common import ExperimentTable
 
+    columns = type(result.records[0]).TABLE_COLUMNS if result.records else ("scenario",)
     table = ExperimentTable(
         f"Campaign {result.name!r}: {len(result)} scenarios, "
         f"{result.hits} cached / {result.misses} evaluated "
         f"in {result.elapsed_seconds:.1f}s",
-        ["scenario", "epoch (s)", "energy (J)", "EDP", "peak (C)", "ok", "cached"],
+        list(columns),
     )
     for record in result.records:
-        table.add_row(
-            record.label,
-            record.epoch_seconds,
-            record.epoch_energy_joules,
-            record.edp,
-            record.peak_celsius,
-            "yes" if record.thermally_feasible else "NO",
-            "hit" if record.cached else "-",
-        )
+        table.add_row(*record.table_row())
     return table

@@ -1,18 +1,20 @@
-"""Campaign execution: evaluate scenarios serially or across processes.
+"""Campaign execution: run scenarios serially or across processes.
 
-The executor is the single funnel every sweep goes through — DSE sweeps,
-CLI campaigns, serving campaigns, tests.  For each scenario it first
-consults the content-addressed :class:`~repro.campaign.store.ResultStore`
-(a hit costs one JSON read), then fans the remaining evaluations out over
-a ``ProcessPoolExecutor`` (``jobs > 1``) or runs them inline.  Results
-come back in scenario order regardless of completion order, so parallel
-and serial runs are bit-identical.
+The executor is the single funnel every sweep goes through — CLI
+campaigns (architecture and serving), experiments, tests.  For each
+scenario it first consults the content-addressed
+:class:`~repro.campaign.store.ResultStore` (a hit costs one JSON read),
+then fans the remaining evaluations out over a ``ProcessPoolExecutor``
+(``jobs > 1``) or runs them inline.  Results come back in scenario order
+regardless of completion order, so parallel and serial runs are
+bit-identical.
 
-The cache-first fan-out core (:func:`run_cached_scenarios`) is generic
-over the record type: any frozen dataclass with ``label``/``scenario``/
-``eval_seconds``/``cached`` fields plus ``to_dict``/``from_dict`` — the
-architecture :class:`~repro.campaign.results.ScenarioRecord` here, the
-serving layer's ``ServingRecord`` in :mod:`repro.serve.sweep`.
+The executor knows no scenario kind.  Each scenario type supplies
+``content_key(base_config)`` (its store key), ``evaluate(key,
+base_config)`` (the leaf evaluator, run in the worker) and
+``record_type`` (whose ``from_dict`` revives a stored payload): the
+architecture :class:`~repro.campaign.spec.Scenario` and the serving
+layer's ``ServingScenario`` both do.
 
 Determinism: every scenario carries its own seed (part of its content
 hash), and each evaluation builds its workload and mapping from that seed
@@ -22,27 +24,22 @@ alone — worker processes share no RNG state.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass
-from functools import partial
-from typing import Any, Callable, Sequence, TypeVar
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Iterator, Sequence
 
-from repro.campaign.results import CampaignResult, ScenarioRecord
-from repro.campaign.spec import CampaignSpec, Scenario
-from repro.campaign.store import ResultStore, scenario_key
-from repro.core.accelerator import ReGraphX
+from repro.campaign.results import CampaignResult
+from repro.campaign.spec import CampaignSpec
+from repro.campaign.store import ResultStore
 from repro.core.config import ReGraphXConfig
-from repro.core.thermal import ThermalModel, ThermalSpec, tier_powers_from_report
-
-ProgressFn = Callable[[str], None]
 
 
 @dataclass(frozen=True)
 class ProgressEvent:
-    """One streamed step of a cache-first campaign run.
+    """One streamed step of a campaign run.
 
-    The funnel emits one ``started`` event when an evaluation begins and
-    one terminal event per scenario — ``cache-hit`` (revived from the
+    The executor emits one ``started`` event when an evaluation begins
+    and one terminal event per scenario — ``cache-hit`` (revived from the
     store) or ``finished`` (freshly computed) — so a consumer can render
     live progress, split hits from computed work, and show an ETA without
     re-deriving any of it.
@@ -53,7 +50,8 @@ class ProgressEvent:
         total: scenarios in the sweep.
         done: scenarios complete after this event.
         label: the scenario's display label.
-        eval_seconds: leaf wall time (terminal events; 0 for cache hits).
+        eval_seconds: leaf wall time (terminal events; a cache hit
+            carries the stored record's original time).
         hits / computed: terminal-event tallies so far, split by origin.
         eta_seconds: projected wall time left, from the mean computed
             leaf time over the remaining uncached work (``None`` until
@@ -71,7 +69,7 @@ class ProgressEvent:
     eta_seconds: float | None = None
 
     def render(self) -> str:
-        """One-line form, matching the classic string-progress format."""
+        """One-line form: ``[done/total] label  (status[, eta Ns])``."""
         if self.kind == "started":
             return f"[{self.done}/{self.total}] {self.label}  (running)"
         status = (
@@ -89,235 +87,109 @@ class ProgressEvent:
 EventFn = Callable[[ProgressEvent], None]
 
 
-def evaluate_scenario(
-    scenario: Scenario,
-    base_config: ReGraphXConfig | None = None,
-    thermal: ThermalSpec | None = None,
-    key: str | None = None,
-) -> ScenarioRecord:
-    """Evaluate one scenario end to end (timing, energy, thermals).
-
-    This is the leaf evaluator — module-level so process pools can pickle
-    it — and the superset of the DSE ``evaluate_design`` path: it honours
-    the scenario's multicast/SA flags and batch-size override.
-    """
-    start = time.perf_counter()
-    config = scenario.to_config(base_config)
-    accelerator = ReGraphX(config)
-    workload = accelerator.build_workload(
-        scenario.dataset,
-        scale=scenario.effective_scale,
-        seed=scenario.seed,
-        batch_size=scenario.batch_size,
-    )
-    report = accelerator.evaluate(
-        workload,
-        multicast=scenario.multicast,
-        use_sa=scenario.use_sa,
-        seed=scenario.seed,
-        sa_restarts=scenario.sa_restarts,
-    )
-    profile = ThermalModel(thermal).steady_state(tier_powers_from_report(report))
-    return ScenarioRecord(
-        label=scenario.display_label,
-        key=key if key is not None else scenario_key(scenario, base_config),
-        scenario=scenario.describe(),
-        epoch_seconds=report.epoch_seconds,
-        epoch_energy_joules=report.epoch_energy,
-        peak_celsius=profile.peak_celsius,
-        thermally_feasible=profile.feasible,
-        worst_compute_seconds=report.worst_compute,
-        worst_communication_seconds=report.worst_communication,
-        energy_per_input_joules=report.energy_per_input,
-        num_inputs=report.pipeline.num_inputs,
-        eval_seconds=time.perf_counter() - start,
-        cached=False,
-    )
-
-
-R = TypeVar("R")
-
-
-def run_cached_scenarios(
-    scenarios: Sequence[Any],
-    keys: Sequence[str],
-    leaf: Callable[[Any, str], R],
-    record_type: type[R],
-    jobs: int = 1,
-    store: ResultStore | None = None,
-    progress: ProgressFn | None = None,
-    on_event: EventFn | None = None,
-) -> tuple[list[R], int, int]:
-    """Cache-first fan-out: the shared core of every campaign flavour.
-
-    For each ``(scenario, key)`` pair, a stored record is revived (and
-    relabelled with the scenario's current display label); misses run
-    through ``leaf(scenario, key)`` — inline, or across a process pool —
-    and are persisted by this parent, so workers never touch the store.
-
-    Args:
-        scenarios: evaluation points, already labelled and seeded.
-        keys: one content-hash per scenario (same order).
-        leaf: module-level (picklable) evaluator returning one record.
-        record_type: record dataclass providing ``from_dict``.
-        jobs: worker processes for cache misses (``<= 1`` runs inline).
-        store: result cache; ``None`` disables persistence entirely.
-        progress: per-scenario string callback (e.g. ``print``).
-        on_event: structured :class:`ProgressEvent` callback — the
-            streamed form of ``progress``, with start events, hit vs
-            computed tallies, and an ETA.
-
-    Returns:
-        ``(records in scenario order, cache hits, cache misses)``.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    scenarios = list(scenarios)
-    records: list[R | None] = [None] * len(scenarios)
-
-    pending: list[int] = []
-    for i, (scenario, key) in enumerate(zip(scenarios, keys)):
-        stored = store.get(key) if store is not None else None
-        if stored is not None:
-            records[i] = _relabel(
-                record_type.from_dict(stored, cached=True),  # type: ignore[attr-defined]
-                scenario.display_label,
-            )
-        else:
-            pending.append(i)
-    hits = len(scenarios) - len(pending)
-
-    done = 0
-    hits_done = 0
-    computed_done = 0
-    computed_time = 0.0
-    total = len(scenarios)
-    effective_jobs = max(1, min(jobs, len(pending)))
-
-    def announce(index: int) -> None:
-        if on_event is not None:
-            on_event(
-                ProgressEvent(
-                    kind="started",
-                    index=index,
-                    total=total,
-                    done=done,
-                    label=scenarios[index].display_label,
-                    hits=hits_done,
-                    computed=computed_done,
-                )
-            )
-
-    def report(index: int, record: Any) -> None:
-        nonlocal done, hits_done, computed_done, computed_time
-        done += 1
-        if record.cached:
-            hits_done += 1
-        else:
-            computed_done += 1
-            computed_time += record.eval_seconds
-        if progress is not None:
-            status = "cache hit" if record.cached else f"{record.eval_seconds:.1f}s"
-            progress(f"[{done}/{total}] {record.label}  ({status})")
-        if on_event is not None:
-            pending_left = len(pending) - computed_done
-            eta = (
-                (computed_time / computed_done) * pending_left / effective_jobs
-                if pending_left > 0 and computed_done > 0
-                else None
-            )
-            on_event(
-                ProgressEvent(
-                    kind="cache-hit" if record.cached else "finished",
-                    index=index,
-                    total=total,
-                    done=done,
-                    label=record.label,
-                    eval_seconds=record.eval_seconds,
-                    hits=hits_done,
-                    computed=computed_done,
-                    eta_seconds=eta,
-                )
-            )
-
-    for i in range(len(scenarios)):
-        if records[i] is not None:
-            report(i, records[i])
-
-    if pending and jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-            futures = {}
-            for i in pending:
-                announce(i)
-                futures[pool.submit(leaf, scenarios[i], keys[i])] = i
-            remaining = set(futures)
-            while remaining:
-                finished, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    i = futures[future]
-                    record = future.result()
-                    records[i] = record
-                    if store is not None:
-                        store.put(keys[i], record.to_dict())  # type: ignore[attr-defined]
-                    report(i, record)
-    else:
-        for i in pending:
-            announce(i)
-            record = leaf(scenarios[i], keys[i])
-            records[i] = record
-            if store is not None:
-                store.put(keys[i], record.to_dict())  # type: ignore[attr-defined]
-            report(i, record)
-
-    assert all(r is not None for r in records)
-    return list(records), hits, len(pending)  # type: ignore[arg-type]
-
-
-def _evaluate_leaf(
-    scenario: Scenario, key: str, base_config: ReGraphXConfig | None = None
-) -> ScenarioRecord:
-    """Architecture leaf with the ``(scenario, key)`` funnel signature."""
-    return evaluate_scenario(scenario, base_config, key=key)
-
-
 def run_scenarios(
-    scenarios: Sequence[Scenario],
+    scenarios: Sequence[Any],
     base_config: ReGraphXConfig | None = None,
     jobs: int = 1,
     store: ResultStore | None = None,
-    progress: ProgressFn | None = None,
     name: str = "campaign",
     on_event: EventFn | None = None,
 ) -> CampaignResult:
     """Run ``scenarios``, reusing stored results and fanning out misses.
 
+    A stored record is revived with the scenario's current display label;
+    misses run through ``scenario.evaluate`` — inline, or across a process
+    pool — and are persisted by this parent, so workers never touch the
+    store.
+
     Args:
-        scenarios: evaluation points, already labelled and seeded.
+        scenarios: evaluation points, already labelled and seeded (any
+            scenario type with the executor contract, see module doc).
         base_config: architecture every scenario's overrides apply to.
-        jobs: worker processes for cache misses (``<= 1`` runs inline).
+        jobs: worker processes for cache misses (``1`` runs inline).
         store: result cache; ``None`` disables persistence entirely.
-        progress: per-scenario callback (e.g. ``print``).
         name: campaign name carried into the result.
-        on_event: structured :class:`ProgressEvent` callback.
+        on_event: :class:`ProgressEvent` callback (start events, hit vs
+            computed tallies, ETA).
     """
-    scenarios = list(scenarios)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     started = time.perf_counter()
-    keys = [scenario_key(s, base_config) for s in scenarios]
-    records, hits, misses = run_cached_scenarios(
-        scenarios,
-        keys,
-        partial(_evaluate_leaf, base_config=base_config),
-        ScenarioRecord,
-        jobs=jobs,
-        store=store,
-        progress=progress,
-        on_event=on_event,
-    )
+    scenarios = list(scenarios)
+    keys = [s.content_key(base_config) for s in scenarios]
+    records: list[Any] = [None] * len(scenarios)
+    pending: list[int] = []
+    for i, (scenario, key) in enumerate(zip(scenarios, keys)):
+        stored = store.get(key) if store is not None else None
+        if stored is None:
+            pending.append(i)
+        else:
+            record = type(scenario).record_type.from_dict(stored, cached=True)
+            records[i] = _relabel(record, scenario.display_label)
+
+    total = len(scenarios)
+    workers = max(1, min(jobs, len(pending)))
+    tally = {"done": 0, "hits": 0, "computed": 0, "seconds": 0.0}
+
+    def emit(kind: str, index: int, record: Any = None) -> None:
+        if on_event is None:
+            return
+        eta = None
+        left = len(pending) - tally["computed"]
+        if record is not None and left > 0 and tally["computed"] > 0:
+            eta = tally["seconds"] / tally["computed"] * left / workers
+        on_event(
+            ProgressEvent(
+                kind=kind,
+                index=index,
+                total=total,
+                done=tally["done"],
+                label=scenarios[index].display_label,
+                eval_seconds=record.eval_seconds if record is not None else 0.0,
+                hits=tally["hits"],
+                computed=tally["computed"],
+                eta_seconds=eta,
+            )
+        )
+
+    def finish(index: int, record: Any) -> None:
+        tally["done"] += 1
+        if record.cached:
+            tally["hits"] += 1
+        else:
+            tally["computed"] += 1
+            tally["seconds"] += record.eval_seconds
+        emit("cache-hit" if record.cached else "finished", index, record)
+
+    def evaluated() -> Iterator[tuple[int, Any]]:
+        """``(index, record)`` for every miss, in completion order."""
+        if jobs == 1 or not pending:
+            for i in pending:
+                emit("started", i)
+                yield i, scenarios[i].evaluate(keys[i], base_config)
+            return
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = {}
+            for i in pending:
+                emit("started", i)
+                futures[pool.submit(scenarios[i].evaluate, keys[i], base_config)] = i
+            for future in as_completed(futures):
+                yield futures[future], future.result()
+
+    for i, record in enumerate(records):
+        if record is not None:
+            finish(i, record)
+    for i, record in evaluated():
+        records[i] = record
+        if store is not None:
+            store.put(keys[i], record.to_dict())
+        finish(i, record)
+
     return CampaignResult(
         name=name,
         records=records,
-        hits=hits,
-        misses=misses,
+        hits=total - len(pending),
+        misses=len(pending),
         elapsed_seconds=time.perf_counter() - started,
     )
 
@@ -326,7 +198,6 @@ def run_campaign(
     spec: CampaignSpec,
     jobs: int = 1,
     store: ResultStore | None = None,
-    progress: ProgressFn | None = None,
     on_event: EventFn | None = None,
 ) -> CampaignResult:
     """Enumerate a :class:`CampaignSpec` and run it through the engine."""
@@ -335,25 +206,21 @@ def run_campaign(
         base_config=spec.base_config,
         jobs=jobs,
         store=store,
-        progress=progress,
         name=spec.name,
         on_event=on_event,
     )
 
 
-def _relabel(record: R, display_label: str) -> R:
+def _relabel(record: Any, display_label: str) -> Any:
     """Carry the *current* display label on a cached record.
 
     Labels are presentation, not content — two sweeps may name the same
     evaluation point differently, and each should see its own name.
-    Works on any record dataclass with ``label`` + ``scenario`` fields.
     """
-    if record.label == display_label:  # type: ignore[attr-defined]
+    if record.label == display_label:
         return record
-    from dataclasses import replace
-
-    described = dict(record.scenario)  # type: ignore[attr-defined]
-    described["label"] = display_label
-    return replace(  # type: ignore[type-var]
-        record, label=display_label, scenario=described
+    return replace(
+        record,
+        label=display_label,
+        scenario={**record.scenario, "label": display_label},
     )

@@ -1,23 +1,43 @@
 """Result records for campaign runs, with JSON/CSV export.
 
 A :class:`ScenarioRecord` is the flat, JSON-serializable outcome of one
-scenario evaluation — exactly what the content-addressed store persists,
-so a cached record and a freshly evaluated one are indistinguishable
-(apart from the runtime-only ``cached`` flag).
+architecture scenario evaluation — exactly what the content-addressed
+store persists, so a cached record and a freshly evaluated one are
+indistinguishable (apart from the runtime-only ``cached`` flag).
+
+:class:`CampaignResult` holds the records of one run, whatever their
+kind: the serving layer's ``ServingRecord`` follows the same record
+contract (``to_dict``/``from_dict``/``metrics``/``csv_row``/
+``table_row`` plus ``TABLE_COLUMNS``), so export and summary code here
+never branches on the record type.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, ClassVar, Mapping, Sequence
+
+
+def flat_row(record: Any, **extra: Any) -> dict[str, Any]:
+    """One CSV row: label, key, the scenario knobs, metrics, ``extra``."""
+    row: dict[str, Any] = {"label": record.label, "key": record.key}
+    row.update((k, v) for k, v in record.scenario.items() if k != "label")
+    row.update(record.metrics())
+    row.update(extra)
+    row["cached"] = record.cached
+    return row
 
 
 @dataclass(frozen=True)
 class ScenarioRecord:
     """Evaluation outcome of one scenario (see ``Scenario.describe``)."""
+
+    TABLE_COLUMNS: ClassVar[tuple[str, ...]] = (
+        "scenario", "epoch (s)", "energy (J)", "EDP", "peak (C)", "ok", "cached",
+    )
 
     label: str
     key: str
@@ -50,14 +70,27 @@ class ScenarioRecord:
             "num_inputs": self.num_inputs,
         }
 
+    def csv_row(self) -> dict[str, Any]:
+        return flat_row(self, edp=self.edp)
+
+    def table_row(self) -> list[Any]:
+        return [
+            self.label,
+            self.epoch_seconds,
+            self.epoch_energy_joules,
+            self.edp,
+            self.peak_celsius,
+            "yes" if self.thermally_feasible else "NO",
+            "hit" if self.cached else "-",
+        ]
+
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any], cached: bool = False) -> "ScenarioRecord":
-        payload = {k: v for k, v in dict(data).items() if k in cls.__dataclass_fields__}
-        payload["cached"] = cached
-        return cls(**payload)
+        """Revive a stored record written under the current schema."""
+        return cls(**{**data, "cached": cached})
 
 
 @dataclass
@@ -65,18 +98,14 @@ class CampaignResult:
     """Everything one campaign run produced, in scenario order."""
 
     name: str
-    records: list[ScenarioRecord]
+    records: Sequence[Any]
     hits: int = 0
     misses: int = 0
     elapsed_seconds: float = 0.0
-    extras: dict[str, Any] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.records)
 
-    # ------------------------------------------------------------------
-    # Export
-    # ------------------------------------------------------------------
     def to_json(self, path: str | Path) -> Path:
         """Write the full campaign (records + cache stats) as JSON."""
         path = Path(path)
@@ -96,48 +125,13 @@ class CampaignResult:
         """Write one flat row per scenario (knobs + metrics)."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        rows = [self._flat_row(r) for r in self.records]
-        columns: list[str] = []
-        for row in rows:
-            for name in row:
-                if name not in columns:
-                    columns.append(name)
+        rows = [r.csv_row() for r in self.records]
+        columns = list(dict.fromkeys(name for row in rows for name in row))
         with path.open("w", newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=columns)
             writer.writeheader()
             writer.writerows(rows)
         return path
-
-    @staticmethod
-    def _flat_row(record: ScenarioRecord) -> dict[str, Any]:
-        row: dict[str, Any] = {"label": record.label, "key": record.key}
-        for name, value in record.scenario.items():
-            if name != "label":
-                row[name] = value
-        row.update(record.metrics())
-        row["edp"] = record.edp
-        row["cached"] = record.cached
-        return row
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "CampaignResult":
-        data = json.loads(Path(path).read_text())
-        return cls(
-            name=data["campaign"],
-            records=[ScenarioRecord.from_dict(r, cached=r.get("cached", False))
-                     for r in data["records"]],
-            hits=data.get("cache_hits", 0),
-            misses=data.get("cache_misses", 0),
-            elapsed_seconds=data.get("elapsed_seconds", 0.0),
-        )
-
-    # ------------------------------------------------------------------
-    # Analysis conveniences (lazy imports keep the layering acyclic)
-    # ------------------------------------------------------------------
-    def pareto(self) -> list[ScenarioRecord]:
-        from repro.campaign.analysis import pareto_records
-
-        return pareto_records(self.records)
 
     def table(self):
         from repro.campaign.analysis import campaign_table

@@ -10,16 +10,26 @@ no hand-rolled nested loops.
 Architecture knobs default to ``None`` meaning "inherit from the base
 configuration", so a scenario composes with an arbitrary
 :class:`~repro.core.config.ReGraphXConfig` supplied at execution time.
+
+A scenario type also tells the executor how to run it: ``content_key``
+(the store key), ``evaluate`` (the leaf evaluator) and ``record_type``
+(the class that revives stored payloads).  The serving layer's
+``ServingScenario`` implements the same three, so one runner drives both.
 """
 
 from __future__ import annotations
 
 import itertools
+import time
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields, replace
-from typing import Any
+from typing import Any, ClassVar
 
+from repro.campaign.results import ScenarioRecord
+from repro.core.accelerator import ReGraphX
 from repro.core.config import ReGraphXConfig
+from repro.core.thermal import ThermalModel, tier_powers_from_report
+from repro.utils.hashing import stable_digest
 from repro.utils.units import MHZ
 
 #: Bump when the evaluation model changes in a way that invalidates cached
@@ -52,6 +62,8 @@ class Scenario:
         batch_size: Cluster-GCN beta override (``None`` = paper default).
         label: display name; auto-derived from the knobs when empty.
     """
+
+    record_type: ClassVar[type[ScenarioRecord]] = ScenarioRecord
 
     dataset: str = "ppi"
     scale: float | None = None
@@ -171,25 +183,89 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Scenario":
-        names = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in dict(data).items() if k in names})
+        """Rebuild a scenario from :meth:`describe` output."""
+        return cls(**data)
+
+    # ------------------------------------------------------------------
+    # Execution (the contract the campaign executor relies on)
+    # ------------------------------------------------------------------
+    def content_key(self, base_config: ReGraphXConfig | None = None) -> str:
+        """Content hash of everything that determines this outcome.
+
+        The *materialized* config is hashed (not the override knobs), so
+        two scenarios that describe the same architecture differently —
+        e.g. an explicit ``scale`` equal to the dataset default — share
+        one record.  The display label deliberately does not participate.
+        """
+        return stable_digest(
+            {
+                "schema": SCHEMA_VERSION,
+                "config": self.to_config(base_config),
+                "dataset": self.dataset,
+                "scale": self.effective_scale,
+                "seed": self.seed,
+                "batch_size": self.batch_size,
+                "multicast": self.multicast,
+                "use_sa": self.use_sa,
+                # The restart knob only affects annealed mappings; keying
+                # it unconditionally would split cache entries for
+                # contiguous scenarios whose outcome it cannot change.
+                "sa_restarts": self.sa_restarts if self.use_sa else 1,
+            }
+        )
+
+    def evaluate(
+        self, key: str, base_config: ReGraphXConfig | None = None
+    ) -> ScenarioRecord:
+        """Evaluate end to end (timing, energy, thermals) into a record.
+
+        The leaf evaluator: the executor calls it inline or in a worker
+        process (scenarios pickle), and it honours the multicast/SA flags
+        and the batch-size override.
+        """
+        start = time.perf_counter()
+        accelerator = ReGraphX(self.to_config(base_config))
+        workload = accelerator.build_workload(
+            self.dataset,
+            scale=self.effective_scale,
+            seed=self.seed,
+            batch_size=self.batch_size,
+        )
+        report = accelerator.evaluate(
+            workload,
+            multicast=self.multicast,
+            use_sa=self.use_sa,
+            seed=self.seed,
+            sa_restarts=self.sa_restarts,
+        )
+        profile = ThermalModel().steady_state(tier_powers_from_report(report))
+        return ScenarioRecord(
+            label=self.display_label,
+            key=key,
+            scenario=self.describe(),
+            epoch_seconds=report.epoch_seconds,
+            epoch_energy_joules=report.epoch_energy,
+            peak_celsius=profile.peak_celsius,
+            thermally_feasible=profile.feasible,
+            worst_compute_seconds=report.worst_compute,
+            worst_communication_seconds=report.worst_communication,
+            energy_per_input_joules=report.energy_per_input,
+            num_inputs=report.pipeline.num_inputs,
+            eval_seconds=time.perf_counter() - start,
+        )
 
 
 def axis_fields(scenario_type: type) -> tuple[str, ...]:
     """The fields of a scenario dataclass a campaign may sweep over.
 
-    Any frozen dataclass with a ``label`` field and an ``auto_label()``
-    method can act as a campaign base (the architecture
+    Any frozen dataclass with a ``label`` field, an ``auto_label()``
+    method and the executor contract (``content_key``/``evaluate``/
+    ``record_type``) can act as a campaign base (the architecture
     :class:`Scenario` here, :class:`repro.serve.scenario.ServingScenario`
     for the serving engine); every field except the display label is a
     legal sweep axis.
     """
     return tuple(f.name for f in fields(scenario_type) if f.name != "label")
-
-
-#: Architecture-scenario axes (kept for backward compatibility; the axis
-#: population is derived from the base scenario's type in general).
-AXIS_FIELDS = axis_fields(Scenario)
 
 
 @dataclass(frozen=True)
@@ -199,10 +275,10 @@ class CampaignSpec:
     ``axes`` maps scenario field names to the values to sweep; scenarios
     are enumerated in row-major order (last axis fastest), each labelled
     with the varying knobs.  The spec itself never evaluates anything —
-    hand it to :func:`repro.campaign.executor.run_campaign` (architecture
-    scenarios) or :func:`repro.serve.sweep.run_serving_campaign` (serving
-    scenarios).  Axes are validated against the *base scenario's* fields,
-    so the same spec machinery sweeps any scenario dataclass.
+    hand it to :func:`repro.campaign.executor.run_campaign`, which runs
+    architecture and serving scenarios alike.  Axes are validated against
+    the *base scenario's* fields, so the same spec machinery sweeps any
+    scenario dataclass.
     """
 
     name: str

@@ -3,9 +3,10 @@
 Records live under ``<root>/campaigns/<key[:2]>/<key>.json`` where ``key``
 is the SHA-256 of the scenario's canonical content (materialized
 architecture config + workload knobs + seed + evaluation flags + schema
-version — see :func:`scenario_key`).  Identical scenarios therefore hit
-the same file across campaigns, processes and sessions; any model change
-that should invalidate results bumps ``spec.SCHEMA_VERSION``.
+version — see :meth:`repro.campaign.spec.Scenario.content_key`; serving
+scenarios hash their own knobs the same way).  Identical scenarios
+therefore hit the same file across campaigns, processes and sessions; any
+model change that should invalidate results bumps the schema version.
 """
 
 from __future__ import annotations
@@ -16,39 +17,7 @@ import tempfile
 from pathlib import Path
 from typing import Any
 
-from repro.campaign.spec import SCHEMA_VERSION, Scenario
-from repro.core.config import ReGraphXConfig
-from repro.utils.hashing import stable_digest
-
 DEFAULT_ROOT = ".repro_cache"
-
-
-def scenario_key(
-    scenario: Scenario, base_config: ReGraphXConfig | None = None
-) -> str:
-    """Content hash of everything that determines a scenario's outcome.
-
-    The *materialized* config is hashed (not the override knobs), so two
-    scenarios that describe the same architecture differently — e.g. an
-    explicit ``scale`` equal to the dataset default — share one record.
-    The display label deliberately does not participate.
-    """
-    return stable_digest(
-        {
-            "schema": SCHEMA_VERSION,
-            "config": scenario.to_config(base_config),
-            "dataset": scenario.dataset,
-            "scale": scenario.effective_scale,
-            "seed": scenario.seed,
-            "batch_size": scenario.batch_size,
-            "multicast": scenario.multicast,
-            "use_sa": scenario.use_sa,
-            # The restart knob only affects annealed mappings; keying it
-            # unconditionally would split cache entries for contiguous
-            # scenarios whose outcome it cannot change.
-            "sa_restarts": scenario.sa_restarts if scenario.use_sa else 1,
-        }
-    )
 
 
 class ResultStore:

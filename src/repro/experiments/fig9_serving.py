@@ -84,15 +84,21 @@ def run_fig9(
     duration_seconds: float = 1.0,
 ) -> Fig9Result:
     """Sweep offered load through the serving engine (Poisson arrivals)."""
-    from repro.core.dse import sweep_serving_qps
+    from repro.campaign.executor import run_campaign
+    from repro.campaign.spec import CampaignSpec
+    from repro.serve.scenario import ServingScenario
 
-    records = sweep_serving_qps(
-        list(qps_values),
-        instances=instances,
-        max_batch=max_batch,
-        duration_seconds=duration_seconds,
-        seed=seed,
+    spec = CampaignSpec(
+        name="fig9",
+        base=ServingScenario(
+            instances=instances,
+            max_batch=max_batch,
+            duration_seconds=duration_seconds,
+            seed=seed,
+        ),
+        axes=(("qps", tuple(float(q) for q in qps_values)),),
     )
+    records = run_campaign(spec).records
     points = tuple(
         Fig9Point(
             qps=float(record.scenario["qps"]),

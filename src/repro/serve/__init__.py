@@ -30,9 +30,10 @@ The pieces:
   size affinity, power-of-two-choices, tenant pinning.
 * :mod:`repro.serve.engine` — the priority-queue simulation loop, the
   dynamic typed fleet, and the per-tenant SLO analytics report.
-* :mod:`repro.serve.scenario` / :mod:`repro.serve.sweep` /
-  :mod:`repro.serve.presets` — declarative serving scenarios swept through
-  the generic campaign machinery with store-backed caching.
+* :mod:`repro.serve.scenario` / :mod:`repro.serve.presets` — declarative
+  serving scenarios; a ``CampaignSpec`` over them runs through the one
+  campaign runner, :func:`repro.campaign.executor.run_campaign`, with
+  store-backed caching.
 * :mod:`repro.serve.capacity` — capacity planning: binary search for the
   minimum single-type fleet, cost-ordered composition search for the
   cheapest heterogeneous fleet meeting a target SLO at a given load,
@@ -130,7 +131,6 @@ from repro.serve.scenario import (
     ServingScenario,
     run_serving_scenario,
     scenario_with,
-    serving_key,
     simulate_serving_scenario,
 )
 from repro.serve.scheduler import POLICIES, Batch, BatchingScheduler
@@ -139,7 +139,6 @@ from repro.serve.service import (
     LinearServiceModel,
     ServiceModel,
 )
-from repro.serve.sweep import ServingCampaignResult, run_serving_campaign
 
 __all__ = [
     "Request",
@@ -180,12 +179,9 @@ __all__ = [
     "ServingScenario",
     "ServingRecord",
     "SERVE_SCHEMA_VERSION",
-    "serving_key",
     "simulate_serving_scenario",
     "run_serving_scenario",
     "scenario_with",
-    "ServingCampaignResult",
-    "run_serving_campaign",
     "SERVING_PRESETS",
     "get_serving_preset",
     "serving_preset_names",

@@ -5,19 +5,23 @@ A :class:`ServingScenario` mirrors the architecture layer's
 ``label`` field and ``auto_label()``), so the generic
 :class:`~repro.campaign.spec.CampaignSpec` machinery sweeps serving knobs
 — QPS x batch size x instances and friends — with no new cross-product
-code.  :func:`run_serving_scenario` is the leaf evaluator; its flat
+code.  It also carries the executor contract (``content_key``,
+``evaluate``, ``record_type``), so
+:func:`~repro.campaign.executor.run_campaign` runs serving sweeps through
+the same cache-first runner as architecture sweeps.  Its flat
 :class:`ServingRecord` output persists in the same content-addressed
-:class:`~repro.campaign.store.ResultStore` as architecture results, keyed
-by :func:`serving_key`.
+:class:`~repro.campaign.store.ResultStore` as architecture results.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields, replace
-from typing import Any, Mapping
+from dataclasses import asdict, dataclass, fields, replace
+from typing import Any, ClassVar, Mapping
 
+from repro.campaign.results import flat_row
 from repro.campaign.store import ResultStore
+from repro.core.config import ReGraphXConfig
 from repro.obs.metrics import MetricRegistry, Sampler
 from repro.obs.sketch import SKETCH_BACKENDS
 from repro.obs.trace import TraceRecorder
@@ -50,6 +54,144 @@ from repro.utils.hashing import stable_digest
 #: (``faults``/``retry``/``hedge_seconds`` knobs; records gain
 #: failure/availability fields).
 SERVE_SCHEMA_VERSION = 5
+
+
+#: :class:`ServingRecord` fields that describe a run rather than measure it.
+_RECORD_CONTEXT = frozenset(
+    {"label", "key", "scenario", "eval_seconds", "fleet", "routing", "cached"}
+)
+
+
+@dataclass(frozen=True)
+class ServingRecord:
+    """Flat, JSON-serializable outcome of one serving scenario."""
+
+    TABLE_COLUMNS: ClassVar[tuple[str, ...]] = (
+        "scenario", "served", "p50 ms", "p99 ms", "util", "viol%",
+        "batch", "inst-s", "shed%",
+    )
+
+    label: str
+    key: str
+    scenario: dict[str, Any]
+    offered: int
+    completed: int
+    throughput_qps: float
+    utilization: float
+    mean_latency_seconds: float
+    p50_latency_seconds: float
+    p95_latency_seconds: float
+    p99_latency_seconds: float
+    max_latency_seconds: float
+    slo_violation_rate: float
+    mean_queue_depth: float
+    peak_queue_depth: int
+    mean_batch_size: float
+    eval_seconds: float
+    instance_seconds: float = 0.0
+    peak_instances: int = 0
+    scale_events: int = 0
+    admitted: int = 0
+    shed: int = 0
+    shed_rate: float = 0.0
+    tarpitted: int = 0
+    overall_burn_rate: float = 0.0
+    peak_burn_rate: float = 0.0
+    fleet: str = ""
+    routing: str = "shared_queue"
+    cost_dollars: float = 0.0
+    failed: int = 0
+    retries: int = 0
+    crashes: int = 0
+    hedges_fired: int = 0
+    hedges_cancelled: int = 0
+    availability: float = 1.0
+    cached: bool = False
+
+    def metrics(self) -> dict[str, float]:
+        """The measured outcome alone — invariant under caching/timing."""
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in _RECORD_CONTEXT
+        }
+
+    def csv_row(self) -> dict[str, Any]:
+        return flat_row(self)
+
+    def table_row(self) -> list[Any]:
+        return [
+            self.label,
+            self.throughput_qps,
+            self.p50_latency_seconds * 1e3,
+            self.p99_latency_seconds * 1e3,
+            self.utilization,
+            self.slo_violation_rate * 100.0,
+            self.mean_batch_size,
+            self.instance_seconds,
+            self.shed_rate * 100.0,
+        ]
+
+    def to_dict(self) -> dict[str, Any]:
+        """JSON-serializable form (what the result store persists)."""
+        return asdict(self)
+
+    @classmethod
+    def from_dict(
+        cls, data: Mapping[str, Any], cached: bool = False
+    ) -> "ServingRecord":
+        """Revive a stored record written under the current schema."""
+        return cls(**{**data, "cached": cached})
+
+    @classmethod
+    def from_report(
+        cls,
+        scenario: ServingScenario,
+        report: ServingReport,
+        key: str,
+        eval_seconds: float,
+    ) -> "ServingRecord":
+        """Flatten a full engine report into the storable record."""
+        admission, burn = report.admission, report.burn
+        return cls(
+            label=scenario.display_label,
+            key=key,
+            scenario=scenario.describe(),
+            offered=report.offered,
+            completed=report.completed,
+            throughput_qps=report.throughput_qps,
+            utilization=report.utilization,
+            mean_latency_seconds=report.latency.mean,
+            p50_latency_seconds=report.latency.p50,
+            p95_latency_seconds=report.latency.p95,
+            p99_latency_seconds=report.latency.p99,
+            max_latency_seconds=report.latency.max,
+            slo_violation_rate=report.slo_violation_rate,
+            mean_queue_depth=report.mean_queue_depth,
+            peak_queue_depth=report.peak_queue_depth,
+            mean_batch_size=report.mean_batch_size,
+            eval_seconds=eval_seconds,
+            instance_seconds=report.instance_seconds,
+            peak_instances=report.peak_instances,
+            scale_events=(
+                len(report.autoscale.events) if report.autoscale is not None else 0
+            ),
+            admitted=admission.admitted if admission is not None else report.offered,
+            shed=admission.shed if admission is not None else 0,
+            shed_rate=admission.shed_rate if admission is not None else 0.0,
+            tarpitted=admission.tarpitted if admission is not None else 0,
+            overall_burn_rate=burn.overall_burn_rate if burn is not None else 0.0,
+            peak_burn_rate=burn.peak_burn_rate if burn is not None else 0.0,
+            fleet=report.fleet,
+            routing=report.routing,
+            cost_dollars=report.cost_dollars,
+            failed=report.failed,
+            retries=report.retries,
+            crashes=report.crashes,
+            hedges_fired=report.hedges_fired,
+            hedges_cancelled=report.hedges_cancelled,
+            availability=report.availability,
+        )
 
 
 @dataclass(frozen=True)
@@ -120,6 +262,8 @@ class ServingScenario:
             queue after this long (``0`` disables hedging).
         label: display name; auto-derived when empty.
     """
+
+    record_type: ClassVar[type[ServingRecord]] = ServingRecord
 
     dataset: str = "ppi"
     scale: float = 0.05
@@ -307,9 +451,31 @@ class ServingScenario:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ServingScenario":
-        """Rebuild a scenario from :meth:`describe` output (extras ignored)."""
-        names = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in dict(data).items() if k in names})
+        """Rebuild a scenario from :meth:`describe` output."""
+        return cls(**data)
+
+    # ------------------------------------------------------------------
+    # Execution (the campaign executor's scenario contract)
+    # ------------------------------------------------------------------
+    def content_key(self, base_config: ReGraphXConfig | None = None) -> str:
+        """Content hash of everything that determines the serving outcome.
+
+        The service model calibrates on the paper design point, so a
+        serving campaign takes no ``base_config``.
+        """
+        if base_config is not None:
+            raise ValueError("serving scenarios take no base_config")
+        payload = self.describe()
+        del payload["label"]  # presentation, not content
+        payload["schema"] = SERVE_SCHEMA_VERSION
+        payload["kind"] = "serving"
+        return stable_digest(payload)
+
+    def evaluate(
+        self, key: str, base_config: ReGraphXConfig | None = None
+    ) -> ServingRecord:
+        """Leaf evaluator: simulate once, without touching the store."""
+        return run_serving_scenario(self, key=key)
 
     # ------------------------------------------------------------------
     # Materialization
@@ -415,134 +581,6 @@ class ServingScenario:
         )
 
 
-def serving_key(scenario: ServingScenario) -> str:
-    """Content hash of everything that determines a serving outcome."""
-    payload = scenario.describe()
-    del payload["label"]  # presentation, not content
-    payload["schema"] = SERVE_SCHEMA_VERSION
-    payload["kind"] = "serving"
-    return stable_digest(payload)
-
-
-#: :class:`ServingRecord` fields that describe a run rather than measure it.
-_RECORD_CONTEXT = frozenset(
-    {"label", "key", "scenario", "eval_seconds", "fleet", "routing", "cached"}
-)
-
-
-@dataclass(frozen=True)
-class ServingRecord:
-    """Flat, JSON-serializable outcome of one serving scenario."""
-
-    label: str
-    key: str
-    scenario: dict[str, Any]
-    offered: int
-    completed: int
-    throughput_qps: float
-    utilization: float
-    mean_latency_seconds: float
-    p50_latency_seconds: float
-    p95_latency_seconds: float
-    p99_latency_seconds: float
-    max_latency_seconds: float
-    slo_violation_rate: float
-    mean_queue_depth: float
-    peak_queue_depth: int
-    mean_batch_size: float
-    eval_seconds: float
-    instance_seconds: float = 0.0
-    peak_instances: int = 0
-    scale_events: int = 0
-    admitted: int = 0
-    shed: int = 0
-    shed_rate: float = 0.0
-    tarpitted: int = 0
-    overall_burn_rate: float = 0.0
-    peak_burn_rate: float = 0.0
-    fleet: str = ""
-    routing: str = "shared_queue"
-    cost_dollars: float = 0.0
-    failed: int = 0
-    retries: int = 0
-    crashes: int = 0
-    hedges_fired: int = 0
-    hedges_cancelled: int = 0
-    availability: float = 1.0
-    cached: bool = False
-
-    def metrics(self) -> dict[str, float]:
-        """The measured outcome alone — invariant under caching/timing."""
-        return {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if f.name not in _RECORD_CONTEXT
-        }
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable form (what the result store persists)."""
-        from dataclasses import asdict
-
-        return asdict(self)
-
-    @classmethod
-    def from_dict(
-        cls, data: Mapping[str, Any], cached: bool = False
-    ) -> "ServingRecord":
-        """Revive a stored record written under the current schema."""
-        return cls(**{**data, "cached": cached})
-
-    @classmethod
-    def from_report(
-        cls,
-        scenario: ServingScenario,
-        report: ServingReport,
-        key: str,
-        eval_seconds: float,
-    ) -> "ServingRecord":
-        """Flatten a full engine report into the storable record."""
-        admission, burn = report.admission, report.burn
-        return cls(
-            label=scenario.display_label,
-            key=key,
-            scenario=scenario.describe(),
-            offered=report.offered,
-            completed=report.completed,
-            throughput_qps=report.throughput_qps,
-            utilization=report.utilization,
-            mean_latency_seconds=report.latency.mean,
-            p50_latency_seconds=report.latency.p50,
-            p95_latency_seconds=report.latency.p95,
-            p99_latency_seconds=report.latency.p99,
-            max_latency_seconds=report.latency.max,
-            slo_violation_rate=report.slo_violation_rate,
-            mean_queue_depth=report.mean_queue_depth,
-            peak_queue_depth=report.peak_queue_depth,
-            mean_batch_size=report.mean_batch_size,
-            eval_seconds=eval_seconds,
-            instance_seconds=report.instance_seconds,
-            peak_instances=report.peak_instances,
-            scale_events=(
-                len(report.autoscale.events) if report.autoscale is not None else 0
-            ),
-            admitted=admission.admitted if admission is not None else report.offered,
-            shed=admission.shed if admission is not None else 0,
-            shed_rate=admission.shed_rate if admission is not None else 0.0,
-            tarpitted=admission.tarpitted if admission is not None else 0,
-            overall_burn_rate=burn.overall_burn_rate if burn is not None else 0.0,
-            peak_burn_rate=burn.peak_burn_rate if burn is not None else 0.0,
-            fleet=report.fleet,
-            routing=report.routing,
-            cost_dollars=report.cost_dollars,
-            failed=report.failed,
-            retries=report.retries,
-            crashes=report.crashes,
-            hedges_fired=report.hedges_fired,
-            hedges_cancelled=report.hedges_cancelled,
-            availability=report.availability,
-        )
-
-
 #: In-process calibration cache: the accelerator service model evaluates
 #: once per (dataset, scale, seed) and every scenario sharing that
 #: workload reuses the calibrated pipeline numbers.
@@ -598,7 +636,7 @@ def run_serving_scenario(
     A custom ``service`` model bypasses the store entirely — the cache key
     only describes the scenario, not an arbitrary injected model.
     """
-    key = key if key is not None else serving_key(scenario)
+    key = key if key is not None else scenario.content_key()
     if store is not None and service is None:
         stored = store.get(key)
         if stored is not None:

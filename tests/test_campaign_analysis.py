@@ -1,11 +1,8 @@
-"""Tests for campaign analysis hooks (records -> DSE vocabulary)."""
+"""Tests for campaign analysis: Pareto fronts and tables over records."""
 
-import pytest
-
-from repro.campaign.analysis import best_record, pareto_records, to_design_point
+from repro.campaign.analysis import pareto_front
 from repro.campaign.results import CampaignResult, ScenarioRecord
 from repro.campaign.spec import Scenario
-from repro.core.dse import DesignPoint
 
 
 def make_record(label, time, energy, temp, tiers=None, feasible=True):
@@ -30,53 +27,29 @@ class TestPareto:
     def test_dominated_record_removed(self):
         good = make_record("good", 1.0, 1.0, 50.0)
         bad = make_record("bad", 2.0, 2.0, 60.0)
-        assert pareto_records([good, bad]) == [good]
+        assert pareto_front([good, bad]) == [good]
 
     def test_tradeoffs_kept(self):
         a = make_record("fast-hot", 1.0, 2.0, 90.0)
         b = make_record("slow-cool", 2.0, 1.0, 60.0)
-        assert pareto_records([a, b]) == [a, b]
+        assert pareto_front([a, b]) == [a, b]
 
     def test_exact_duplicates_all_survive(self):
         a = make_record("a", 1.0, 1.0, 50.0)
         b = make_record("b", 1.0, 1.0, 50.0)
-        assert pareto_records([a, b]) == [a, b]
+        assert pareto_front([a, b]) == [a, b]
 
     def test_empty(self):
-        assert pareto_records([]) == []
+        assert pareto_front([]) == []
 
 
-class TestDesignPointBridge:
-    def test_to_design_point_rematerializes_config(self):
+class TestRecordScenario:
+    def test_record_knobs_rematerialize_config(self):
         record = make_record("x", 1.0, 2.0, 50.0, tiers=5)
-        point = to_design_point(record)
-        assert isinstance(point, DesignPoint)
-        assert point.config.tiers == 5
-        assert point.config.v_tier == 2
-        assert point.epoch_seconds == 1.0
-        assert point.edp == pytest.approx(2.0)
-
-
-class TestBestRecord:
-    def test_min_edp_among_feasible(self):
-        hot = make_record("hot", 0.1, 0.1, 200.0, feasible=False)
-        ok = make_record("ok", 1.0, 1.0, 50.0)
-        worse = make_record("worse", 2.0, 2.0, 50.0)
-        assert best_record([hot, ok, worse]).label == "ok"
-
-    def test_all_infeasible_falls_back(self):
-        hot = make_record("hot", 0.1, 0.1, 200.0, feasible=False)
-        assert best_record([hot]).label == "hot"
-
-    def test_other_metrics(self):
-        a = make_record("a", 1.0, 4.0, 50.0)
-        b = make_record("b", 2.0, 1.0, 50.0)
-        assert best_record([a, b], metric="epoch_seconds").label == "a"
-        assert best_record([a, b], metric="epoch_energy_joules").label == "b"
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="no records"):
-            best_record([])
+        config = Scenario.from_dict(record.scenario).to_config()
+        assert config.tiers == 5
+        assert config.v_tier == 2
+        assert record.edp == 2.0
 
 
 class TestCampaignTable:

@@ -2,7 +2,8 @@
 
 The scenarios here use PPI at scale 0.05 (the cheapest real workload) and
 one shared module-scoped first run, so the whole file costs only a
-handful of evaluations.
+handful of evaluations.  The executor runs serving scenarios through the
+same path; ``TestBothKinds`` drives one of each against one store.
 """
 
 import json
@@ -10,9 +11,10 @@ import json
 import pytest
 
 from repro.campaign.executor import ProgressEvent, run_campaign, run_scenarios
-from repro.campaign.results import CampaignResult, ScenarioRecord
+from repro.campaign.results import ScenarioRecord
 from repro.campaign.spec import CampaignSpec, Scenario
 from repro.campaign.store import ResultStore
+from repro.serve.scenario import ServingRecord, ServingScenario
 
 SCENARIOS = [
     Scenario(dataset="ppi", scale=0.05, tiers=2, label="2-tier"),
@@ -43,7 +45,7 @@ class TestCaching:
         def boom(*args, **kwargs):
             raise AssertionError("cache hit expected; evaluator was called")
 
-        monkeypatch.setattr("repro.campaign.executor.evaluate_scenario", boom)
+        monkeypatch.setattr(Scenario, "evaluate", boom)
         second = run_scenarios(SCENARIOS, store=store, name="exec-test")
         assert second.hits == len(SCENARIOS)
         assert second.misses == 0
@@ -65,7 +67,7 @@ class TestCaching:
         def boom(*args, **kwargs):
             raise AssertionError("cross-campaign cache hit expected")
 
-        monkeypatch.setattr("repro.campaign.executor.evaluate_scenario", boom)
+        monkeypatch.setattr(Scenario, "evaluate", boom)
         spec = CampaignSpec(
             name="reshaped",
             base=Scenario(dataset="ppi", scale=0.05),
@@ -135,14 +137,6 @@ class TestProgressEvents:
             "2-tier", "2-tier", "3-tier", "3-tier",
         ]
 
-    def test_event_and_string_progress_agree(self, first_run, store):
-        lines, events = [], []
-        run_scenarios(
-            SCENARIOS, store=store, progress=lines.append,
-            on_event=events.append,
-        )
-        assert lines == [e.render() for e in events]
-
     def test_render_formats(self):
         started = ProgressEvent(
             kind="started", index=0, total=4, done=0, label="point",
@@ -162,7 +156,9 @@ class TestProgressEvents:
 class TestProgressAndExport:
     def test_progress_reports_every_scenario(self, store):
         lines = []
-        run_scenarios(SCENARIOS, store=store, progress=lines.append)
+        run_scenarios(
+            SCENARIOS, store=store, on_event=lambda e: lines.append(e.render())
+        )
         assert len(lines) == len(SCENARIOS)
         assert all("cache hit" in line for line in lines)
 
@@ -171,8 +167,8 @@ class TestProgressAndExport:
         payload = json.loads(path.read_text())
         assert payload["campaign"] == "exec-test"
         assert payload["num_scenarios"] == len(SCENARIOS)
-        reloaded = CampaignResult.from_json(path)
-        assert [r.metrics() for r in reloaded.records] == [
+        reloaded = [ScenarioRecord.from_dict(r) for r in payload["records"]]
+        assert [r.metrics() for r in reloaded] == [
             r.metrics() for r in first_run.records
         ]
 
@@ -196,3 +192,48 @@ class TestProgressAndExport:
         rebuilt = ScenarioRecord.from_dict(record.to_dict(), cached=True)
         assert rebuilt.metrics() == record.metrics()
         assert rebuilt.cached
+
+
+class TestBothKinds:
+    """Architecture and serving specs share the one runner and one store."""
+
+    ARCH = CampaignSpec(
+        name="arch",
+        base=Scenario(dataset="ppi", scale=0.05),
+        axes=(("tiers", (2, 3)),),
+    )
+    SERVING = CampaignSpec(
+        name="serving",
+        base=ServingScenario(qps=50.0, duration_seconds=0.3, instances=1),
+        axes=(("max_batch", (1, 8)),),
+    )
+
+    def test_shared_store_keys_revival_and_parallelism(self, first_run, store):
+        # The architecture points are already stored by ``first_run``.
+        arch = run_campaign(self.ARCH, store=store)
+        serving = run_campaign(self.SERVING, store=store)
+        assert (arch.hits, arch.misses) == (2, 0)
+        assert (serving.hits, serving.misses) == (0, 2)
+        keys = [r.key for r in arch.records + serving.records]
+        assert len(set(keys)) == 4 and set(keys) <= set(store.keys())
+
+        again = run_campaign(self.SERVING, store=store)
+        assert (again.hits, again.misses) == (2, 0)
+        assert all(type(r) is ServingRecord for r in again.records)
+        assert all(type(r) is ScenarioRecord for r in arch.records)
+        assert [r.metrics() for r in again.records] == [
+            r.metrics() for r in serving.records
+        ]
+
+        for spec, serial in ((self.ARCH, arch), (self.SERVING, serving)):
+            parallel = run_campaign(spec, jobs=2)
+            assert parallel.misses == len(spec)
+            assert [type(r) for r in parallel.records] == [
+                type(r) for r in serial.records
+            ]
+            assert [r.key for r in parallel.records] == [
+                r.key for r in serial.records
+            ]
+            assert [r.metrics() for r in parallel.records] == [
+                r.metrics() for r in serial.records
+            ]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.campaign.presets import PRESETS, get_preset, preset_names
-from repro.campaign.spec import AXIS_FIELDS, CampaignSpec, Scenario
+from repro.campaign.spec import CampaignSpec, Scenario, axis_fields
 from repro.core.config import ReGraphXConfig
 
 
@@ -67,6 +67,9 @@ class TestScenario:
         rebuilt = Scenario.from_dict(scenario.describe())
         assert rebuilt.to_config() == scenario.to_config()
         assert rebuilt.display_label == scenario.display_label
+        # describe() emits exactly the fields, so an unknown key is an error.
+        with pytest.raises(TypeError):
+            Scenario.from_dict({**scenario.describe(), "warp": 1})
 
 
 class TestCampaignSpec:
@@ -98,7 +101,7 @@ class TestCampaignSpec:
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="unknown sweep axis"):
             CampaignSpec(name="t", axes=(("warp", (1,)),))
-        assert "label" not in AXIS_FIELDS
+        assert "label" not in axis_fields(Scenario)
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError, match="no values"):

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro.campaign.spec import Scenario
-from repro.campaign.store import ResultStore, scenario_key
+from repro.campaign.store import ResultStore
 from repro.core.config import ReGraphXConfig
 from repro.utils.hashing import canonical_json, stable_digest, stable_seed
 
@@ -36,7 +36,7 @@ class TestHashing:
 class TestScenarioKey:
     def test_deterministic(self):
         s = Scenario(dataset="ppi", scale=0.05, tiers=4)
-        assert scenario_key(s) == scenario_key(s)
+        assert s.content_key() == s.content_key()
 
     def test_every_knob_changes_the_key(self):
         base = Scenario(dataset="ppi", scale=0.05)
@@ -51,25 +51,25 @@ class TestScenarioKey:
             Scenario(dataset="ppi", scale=0.05, use_sa=True),
             Scenario(dataset="ppi", scale=0.05, batch_size=2),
         ]
-        keys = {scenario_key(v) for v in variants} | {scenario_key(base)}
+        keys = {v.content_key() for v in variants} | {base.content_key()}
         assert len(keys) == len(variants) + 1
 
     def test_label_is_presentation_only(self):
         a = Scenario(dataset="ppi", scale=0.05, label="one")
         b = Scenario(dataset="ppi", scale=0.05, label="two")
-        assert scenario_key(a) == scenario_key(b)
+        assert a.content_key() == b.content_key()
 
     def test_default_scale_and_explicit_equal_share_a_key(self):
         from repro.experiments.common import DEFAULT_SCALES
 
         implicit = Scenario(dataset="ppi")
         explicit = Scenario(dataset="ppi", scale=DEFAULT_SCALES["ppi"])
-        assert scenario_key(implicit) == scenario_key(explicit)
+        assert implicit.content_key() == explicit.content_key()
 
     def test_base_config_participates(self):
         s = Scenario(dataset="ppi", scale=0.05)
         custom = ReGraphXConfig(num_layers=2)
-        assert scenario_key(s) != scenario_key(s, base_config=custom)
+        assert s.content_key() != s.content_key(custom)
 
 
 class TestResultStore:

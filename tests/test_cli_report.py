@@ -68,6 +68,11 @@ class TestCLI:
         assert "pruned 2 of 3" in out
         assert len(store) == 1
 
+    def test_sweep_seed_override_of_a_swept_seed_is_refused(self):
+        # The "seeds" preset sweeps seed over 0..7; --seed would be lost.
+        with pytest.raises(SystemExit, match="--seed sets 'seed'"):
+            main(["--seed", "3", "sweep", "--preset", "seeds", "--no-cache"])
+
     def test_serve_parser(self):
         parser = build_parser()
         args = parser.parse_args(

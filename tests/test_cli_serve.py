@@ -131,6 +131,39 @@ class TestConflictsAndErrors:
                 "--queue-budget", "-1", "--no-cache",
             ])
 
+    def test_override_of_a_swept_field_is_refused(self):
+        # "policies" sweeps max_batch over 4 and 16; --batch would be lost.
+        with pytest.raises(SystemExit, match="--batch sets 'max_batch'"):
+            main([
+                "serve", "--campaign", "--preset", "policies",
+                "--batch", "2", "--no-cache",
+            ])
+
+
+class TestCampaign:
+    def test_progress_lines_are_rendered_events(self, tmp_path, capsys):
+        from dataclasses import replace
+
+        from repro.campaign.executor import run_campaign
+        from repro.campaign.store import ResultStore
+        from repro.serve import get_serving_preset, scenario_with
+
+        cache, out = tmp_path / "cache", tmp_path / "out"
+        argv = ["--campaign", "--preset", "policies", "--duration", "0.3",
+                "--cache", str(cache), "--out", str(out)]
+        first = run_cli(argv, capsys)
+        assert "(running)" in first
+        assert "4 computed, 0 cached" in first and "p99 ms" in first
+        second = run_cli(argv, capsys).splitlines()
+        assert second[-1].startswith("0 computed, 4 cached")
+
+        spec = get_serving_preset("policies")
+        spec = replace(spec, base=scenario_with(spec.base, duration_seconds=0.3))
+        events = []
+        run_campaign(spec, store=ResultStore(cache), on_event=events.append)
+        assert second[1:5] == [e.render() for e in events]
+        assert all(e.kind == "cache-hit" for e in events)
+
 
 class TestSinglePoint:
     def test_reports_slo_analytics(self, capsys):

@@ -1,21 +1,39 @@
-"""Unit tests for design-space exploration."""
+"""Design-space exploration: tier/mesh sweeps and Pareto fronts.
+
+The sweeps are plain ``CampaignSpec`` cross-products run through
+``run_campaign``; the Pareto front works on the records they return.
+"""
 
 import pytest
 
-from repro.core.dse import DesignPoint, pareto_front, sweep_mesh, sweep_tiers
+from repro.campaign.analysis import pareto_front
+from repro.campaign.executor import run_campaign
+from repro.campaign.results import ScenarioRecord
+from repro.campaign.spec import CampaignSpec, Scenario
+from repro.campaign.store import ResultStore
+
+PPI = Scenario(dataset="ppi", scale=0.05, seed=0)
 
 
 def make_point(label, time, energy, temp):
-    from repro.core.config import ReGraphXConfig
-
-    return DesignPoint(
+    return ScenarioRecord(
         label=label,
-        config=ReGraphXConfig(),
+        key=label,
+        scenario=PPI.describe(),
         epoch_seconds=time,
         epoch_energy_joules=energy,
         peak_celsius=temp,
         thermally_feasible=temp < 105,
+        worst_compute_seconds=time / 2,
+        worst_communication_seconds=time / 2,
+        energy_per_input_joules=energy / 10,
+        num_inputs=10,
+        eval_seconds=0.0,
     )
+
+
+def tier_spec(tiers):
+    return CampaignSpec(name="sweep-tiers", base=PPI, axes=(("tiers", tiers),))
 
 
 class TestParetoFront:
@@ -62,17 +80,21 @@ class TestParetoFront:
 class TestTierSweep:
     @pytest.fixture(scope="class")
     def points(self):
-        return sweep_tiers([2, 3, 5], workload_dataset="ppi", scale=0.05, seed=0)
+        return run_campaign(tier_spec((2, 3, 5))).records
 
     def test_one_point_per_tier_count(self, points):
-        assert [p.label for p in points] == ["2-tier", "3-tier", "5-tier"]
+        assert [p.scenario["tiers"] for p in points] == [2, 3, 5]
+        assert [p.label for p in points] == [
+            "ppi-2t-mc-s0", "ppi-3t-mc-s0", "ppi-5t-mc-s0",
+        ]
 
     def test_more_tiers_hotter(self, points):
         temps = [p.peak_celsius for p in points]
         assert temps == sorted(temps)
 
     def test_more_tiers_more_e_capacity(self, points):
-        capacities = [p.config.num_e_crossbars for p in points]
+        configs = [Scenario.from_dict(p.scenario).to_config() for p in points]
+        capacities = [c.num_e_crossbars for c in configs]
         assert capacities == sorted(capacities)
         assert capacities[0] < capacities[-1]
 
@@ -81,47 +103,39 @@ class TestTierSweep:
         assert three_tier.thermally_feasible
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            sweep_tiers([])
-        with pytest.raises(ValueError):
-            sweep_tiers([1])
+        with pytest.raises(ValueError, match="no values"):
+            tier_spec(())
+        with pytest.raises(ValueError, match="at least 2 tiers"):
+            tier_spec((1,)).scenarios()
 
 
 class TestMeshSweep:
     def test_mesh_sweep_runs(self):
-        points = sweep_mesh([8], workload_dataset="ppi", scale=0.05, seed=0)
+        spec = CampaignSpec(name="sweep-mesh", base=PPI, axes=(("mesh_width", (8,)),))
+        points = run_campaign(spec).records
         assert len(points) == 1
-        assert points[0].label == "8x8"
+        assert points[0].label == "ppi-8x8-mc-s0"
         assert points[0].epoch_seconds > 0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            sweep_mesh([])
+        with pytest.raises(ValueError, match="no values"):
+            CampaignSpec(name="sweep-mesh", base=PPI, axes=(("mesh_width", ()),))
 
 
 class TestSweepsThroughCampaignEngine:
-    def test_tier_sweep_uses_result_store(self, tmp_path):
+    def test_tier_sweep_uses_result_store(self, tmp_path, monkeypatch):
         """Sweeps ride the campaign cache: a repeat sweep re-evaluates nothing."""
-        from repro.campaign.store import ResultStore
-
         store = ResultStore(tmp_path)
-        first = sweep_tiers(
-            [2, 3], workload_dataset="ppi", scale=0.05, seed=0, store=store
-        )
+        first = run_campaign(tier_spec((2, 3)), store=store)
         assert len(store) == 2
-        import repro.campaign.executor as executor
 
-        original = executor.evaluate_scenario
-        executor.evaluate_scenario = lambda *a, **k: (_ for _ in ()).throw(
-            AssertionError("expected pure cache hits")
-        )
-        try:
-            second = sweep_tiers(
-                [2, 3], workload_dataset="ppi", scale=0.05, seed=0, store=store
-            )
-        finally:
-            executor.evaluate_scenario = original
-        assert [p.label for p in second] == [p.label for p in first]
-        assert [p.epoch_seconds for p in second] == [p.epoch_seconds for p in first]
-        assert [p.peak_celsius for p in second] == [p.peak_celsius for p in first]
-        assert [p.config for p in second] == [p.config for p in first]
+        def boom(*args, **kwargs):
+            raise AssertionError("expected pure cache hits")
+
+        monkeypatch.setattr(Scenario, "evaluate", boom)
+        second = run_campaign(tier_spec((2, 3)), store=store)
+        assert (second.hits, second.misses) == (2, 0)
+        assert [p.label for p in second.records] == [p.label for p in first.records]
+        assert [p.metrics() for p in second.records] == [
+            p.metrics() for p in first.records
+        ]

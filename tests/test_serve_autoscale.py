@@ -18,6 +18,7 @@ from repro.serve.autoscale import (
 )
 from repro.serve.engine import ServingEngine
 from repro.serve.fleet import FleetSpec, TypedReplicaPool
+from repro.serve.scenario import ServingScenario
 from repro.serve.scheduler import BatchingScheduler
 from repro.serve.service import LinearServiceModel
 
@@ -311,19 +312,26 @@ class TestAcceptanceCriterion:
 
 
 class TestSweepAutoscalerTargets:
-    def test_records_in_target_order(self):
-        from repro.core.dse import sweep_autoscaler_targets
+    def spec(self, targets):
+        from repro.campaign.spec import CampaignSpec
 
-        records = sweep_autoscaler_targets(
-            [0.5, 0.9], duration_seconds=0.5, qps=100.0, max_instances=4
+        base = ServingScenario(
+            arrival="mmpp", qps=100.0, duration_seconds=0.5, instances=2,
+            max_instances=4, autoscaler="target-util",
         )
+        return CampaignSpec(
+            name="targets", base=base, axes=(("autoscale_target", tuple(targets)),)
+        )
+
+    def test_records_in_target_order(self):
+        from repro.campaign.executor import run_campaign
+
+        records = run_campaign(self.spec([0.5, 0.9])).records
         assert [r.scenario["autoscale_target"] for r in records] == [0.5, 0.9]
         assert all(r.scenario["autoscaler"] == "target-util" for r in records)
 
     def test_validation(self):
-        from repro.core.dse import sweep_autoscaler_targets
-
         with pytest.raises(ValueError):
-            sweep_autoscaler_targets([])
+            self.spec([])
         with pytest.raises(ValueError):
-            sweep_autoscaler_targets([-0.5])
+            self.spec([-0.5]).scenarios()

@@ -1,10 +1,15 @@
-"""Tests for serving scenarios, keys, campaigns, presets, and the QPS sweep."""
+"""Tests for serving scenarios, keys, campaigns, presets, and the QPS sweep.
+
+Serving campaigns run through the one campaign runner,
+:func:`repro.campaign.executor.run_campaign`.
+"""
 
 import pytest
 
+from repro.campaign.executor import run_campaign
 from repro.campaign.spec import CampaignSpec, Scenario
 from repro.campaign.store import ResultStore
-from repro.core.dse import sweep_serving_qps
+from repro.core.config import ReGraphXConfig
 from repro.serve.presets import (
     SERVING_PRESETS,
     get_serving_preset,
@@ -15,9 +20,7 @@ from repro.serve.scenario import (
     ServingScenario,
     run_serving_scenario,
     scenario_with,
-    serving_key,
 )
-from repro.serve.sweep import run_serving_campaign
 
 FAST = ServingScenario(qps=50.0, duration_seconds=0.3, instances=1, seed=0)
 
@@ -32,6 +35,8 @@ class TestServingScenario:
         assert ServingScenario.from_dict(scenario.describe()) == scenario_with(
             scenario
         )
+        with pytest.raises(TypeError):
+            ServingScenario.from_dict({**scenario.describe(), "warp": 1})
 
     def test_scenario_with_relabels(self):
         changed = scenario_with(FAST, qps=200.0)
@@ -71,7 +76,7 @@ class TestServingKey:
     def test_deterministic_and_label_blind(self):
         a = ServingScenario(qps=100.0)
         b = ServingScenario(qps=100.0, label="pretty-name")
-        assert serving_key(a) == serving_key(b)
+        assert a.content_key() == b.content_key()
 
     def test_every_knob_changes_the_key(self):
         base = ServingScenario()
@@ -88,12 +93,12 @@ class TestServingKey:
             {"slo_seconds": 0.08},
             {"seed": 11},
         ):
-            assert serving_key(base) != serving_key(scenario_with(base, **override))
+            assert base.content_key() != scenario_with(base, **override).content_key()
 
     def test_distinct_from_architecture_keys(self):
-        from repro.campaign.store import scenario_key
-
-        assert serving_key(ServingScenario()) != scenario_key(Scenario())
+        assert ServingScenario().content_key() != Scenario().content_key()
+        with pytest.raises(ValueError, match="base_config"):
+            ServingScenario().content_key(ReGraphXConfig())
 
 
 class TestGenericCampaignSpec:
@@ -129,7 +134,7 @@ class TestRunServingCampaign:
         )
 
     def test_runs_in_scenario_order(self, tmp_path):
-        result = run_serving_campaign(self.spec(), store=ResultStore(tmp_path))
+        result = run_campaign(self.spec(), store=ResultStore(tmp_path))
         assert len(result) == 4
         assert [r.scenario["qps"] for r in result.records] == [
             25.0, 25.0, 100.0, 100.0,
@@ -138,8 +143,8 @@ class TestRunServingCampaign:
 
     def test_second_run_is_all_cache_hits(self, tmp_path):
         store = ResultStore(tmp_path)
-        first = run_serving_campaign(self.spec(), store=store)
-        second = run_serving_campaign(self.spec(), store=store)
+        first = run_campaign(self.spec(), store=store)
+        second = run_campaign(self.spec(), store=store)
         assert second.hits == 4 and second.misses == 0
         assert all(r.cached for r in second.records)
         assert [r.metrics() for r in first.records] == [
@@ -147,14 +152,14 @@ class TestRunServingCampaign:
         ]
 
     def test_parallel_matches_serial(self, tmp_path):
-        serial = run_serving_campaign(self.spec(), jobs=1)
-        parallel = run_serving_campaign(self.spec(), jobs=2)
+        serial = run_campaign(self.spec(), jobs=1)
+        parallel = run_campaign(self.spec(), jobs=2)
         assert [r.metrics() for r in serial.records] == [
             r.metrics() for r in parallel.records
         ]
 
     def test_exports(self, tmp_path):
-        result = run_serving_campaign(self.spec())
+        result = run_campaign(self.spec())
         json_path = result.to_json(tmp_path / "mini.json")
         csv_path = result.to_csv(tmp_path / "mini.csv")
         assert json_path.is_file() and csv_path.is_file()
@@ -164,14 +169,9 @@ class TestRunServingCampaign:
         table = result.table().render()
         assert "p99 ms" in table
 
-    def test_rejects_architecture_specs(self):
-        arch = CampaignSpec(name="arch", base=Scenario(), axes=(("tiers", (2,)),))
-        with pytest.raises(TypeError, match="ServingScenario"):
-            run_serving_campaign(arch)
-
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError, match="jobs"):
-            run_serving_campaign(self.spec(), jobs=0)
+            run_campaign(self.spec(), jobs=0)
 
 
 class TestRunServingScenario:
@@ -214,15 +214,18 @@ class TestPresets:
 
 
 class TestSweepServingQps:
-    def test_records_in_rate_order(self):
-        records = sweep_serving_qps(
-            [25.0, 50.0], duration_seconds=0.3, instances=1
+    def spec(self, qps):
+        return CampaignSpec(
+            name="qps", base=FAST, axes=(("qps", tuple(qps)),)
         )
+
+    def test_records_in_rate_order(self):
+        records = run_campaign(self.spec([25.0, 50.0])).records
         assert [r.scenario["qps"] for r in records] == [25.0, 50.0]
         assert all(r.p50_latency_seconds > 0 for r in records)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="at least one"):
-            sweep_serving_qps([])
+        with pytest.raises(ValueError, match="no values"):
+            self.spec([])
         with pytest.raises(ValueError, match="positive"):
-            sweep_serving_qps([-5.0])
+            self.spec([-5.0]).scenarios()

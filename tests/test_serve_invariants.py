@@ -3,6 +3,8 @@
 * Little's law against the analytic queue: with a deterministic service
   time and one request per batch, the time-averaged queue depth equals
   throughput times the mean wait, exactly (up to float rounding).
+* The M/D/1 Pollaczek-Khinchine mean wait, within three standard errors
+  over seeds.
 * A scenario fuzz over fleet x routing x autoscaler x admission x faults
   x retry x hedge, asserting conservation, bounded utilization, per-type
   accounting, and seed determinism on every draw.
@@ -10,6 +12,9 @@
 """
 
 from __future__ import annotations
+
+import math
+import statistics
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +49,26 @@ def test_littles_law_holds_exactly(instances: int) -> None:
     assert report.mean_queue_depth == pytest.approx(
         report.throughput_qps * mean_wait, rel=1e-9
     )
+
+
+def test_md1_mean_wait_matches_pollaczek_khinchine() -> None:
+    """M/D/1 at rho = 0.7: ``W_q = rho * S / (2 (1 - rho))`` = 2.333 ms."""
+    service_seconds, rho = 2e-3, 0.7
+    service = LinearServiceModel(base_seconds=service_seconds, per_node_seconds=0.0)
+    waits = []
+    for seed in range(8):
+        scenario = ServingScenario(
+            qps=rho / service_seconds,
+            duration_seconds=60.0,
+            instances=1,
+            max_batch=1,
+            seed=seed,
+        )
+        report = simulate_serving_scenario(scenario, service=service)
+        waits.append(report.latency.mean - service_seconds)
+    analytic = rho * service_seconds / (2.0 * (1.0 - rho))
+    standard_error = statistics.stdev(waits) / math.sqrt(len(waits))
+    assert abs(statistics.fmean(waits) - analytic) < 3.0 * standard_error
 
 
 def test_hedging_on_typed_routing_without_faults_runs() -> None:
