@@ -57,8 +57,10 @@ def powerlaw_community_graph(
 
     Args:
         num_nodes: target node count (exact).
-        num_edges: target undirected edge count (approached within a few
-            percent; duplicates from the stub-sampling process are removed).
+        num_edges: target undirected edge count.  Edges are drawn in up to
+            20 oversampled rounds with duplicates and self-loops removed, and
+            a random surplus is dropped, so the count is exact unless the
+            rounds run out first (then it falls a little short).
         num_communities: number of planted clusters; partitioners should
             roughly rediscover them.
         mixing: fraction of edge endpoints wired across communities
@@ -95,12 +97,12 @@ def powerlaw_community_graph(
     global_probs = weights / weights.sum()
     nodes = np.arange(num_nodes)
 
-    edges: list[np.ndarray] = []
-    collected = 0
-    # Oversample in rounds; duplicate edges and self-loops are discarded by
-    # CSRGraph.from_edges, so we keep drawing until the target is met.
+    # Sorted distinct canonical edge keys ``lo * num_nodes + hi`` drawn so far.
+    keys = np.empty(0, dtype=np.int64)
+    # Oversample in rounds; duplicate edges and self-loops are discarded, so
+    # we keep drawing until the target is met.
     for _round in range(20):
-        need = num_edges - collected
+        need = num_edges - keys.size
         if need <= 0:
             break
         batch = int(need * 1.6) + 32
@@ -110,41 +112,36 @@ def powerlaw_community_graph(
         dst[cross] = rng.choice(nodes, size=int(cross.sum()), p=global_probs)
         intra = np.flatnonzero(~cross)
         src_comm = community[src[intra]]
-        for c in np.unique(src_comm):
-            sel = intra[src_comm == c]
+        # Group the intra-community draws by community; the stable sort keeps
+        # each group's positions ascending.
+        counts = np.bincount(src_comm, minlength=num_communities)
+        by_comm = np.split(intra[np.argsort(src_comm, kind="stable")], np.cumsum(counts)[:-1])
+        for c in np.flatnonzero(counts):
+            sel = by_comm[c]
             if members[c].size < 2:
                 # Degenerate community: fall back to a global partner.
                 dst[sel] = rng.choice(nodes, size=sel.size, p=global_probs)
             else:
                 dst[sel] = rng.choice(members[c], size=sel.size, p=member_probs[c])
-        new = np.stack([src, dst], axis=1)
-        new = new[new[:, 0] != new[:, 1]]
-        edges.append(new)
-        stacked = np.concatenate(edges)
-        lo = np.minimum(stacked[:, 0], stacked[:, 1])
-        hi = np.maximum(stacked[:, 0], stacked[:, 1])
-        collected = np.unique(lo * np.int64(num_nodes) + hi).size
+        loop = src == dst
+        lo = np.minimum(src, dst)[~loop]
+        hi = np.maximum(src, dst)[~loop]
+        # Merge only this round's distinct keys into the running set: linear
+        # in the edges held, instead of re-deduplicating every edge each round.
+        fresh = np.sort(lo * np.int64(num_nodes) + hi)
+        fresh = fresh[np.diff(fresh, prepend=-1) != 0]
+        at = np.searchsorted(keys, fresh)
+        seen = at < keys.size
+        seen[seen] = keys[at[seen]] == fresh[seen]
+        keys = np.insert(keys, at[~seen], fresh[~seen])
 
-    all_edges = np.concatenate(edges) if edges else np.empty((0, 2), dtype=np.int64)
-    graph = CSRGraph.from_edges(num_nodes, all_edges, name=name)
-    graph = _trim_to_edge_count(graph, num_edges, rng)
+    edges = np.stack([keys // num_nodes, keys % num_nodes], axis=1)
+    if edges.shape[0] > num_edges:
+        # Drop random surplus edges so the graph hits ``num_edges`` exactly.
+        edges = edges[rng.choice(edges.shape[0], size=num_edges, replace=False)]
+    graph = CSRGraph.from_edges(num_nodes, edges, name=name)
     graph.community = community  # planted structure, used by feature synthesis
     return graph
-
-
-def _trim_to_edge_count(
-    graph: CSRGraph, num_edges: int, rng: np.random.Generator
-) -> CSRGraph:
-    """Drop random surplus edges so the graph hits ``num_edges`` exactly."""
-    surplus = graph.num_edges - num_edges
-    if surplus <= 0:
-        return graph
-    src = np.repeat(np.arange(graph.num_nodes), graph.degrees)
-    dst = graph.indices
-    keep_dir = src < dst
-    pairs = np.stack([src[keep_dir], dst[keep_dir]], axis=1)
-    keep = rng.choice(pairs.shape[0], size=num_edges, replace=False)
-    return CSRGraph.from_edges(graph.num_nodes, pairs[keep], name=graph.name)
 
 
 def rmat_graph(

@@ -13,11 +13,12 @@ same multilevel scheme from scratch:
    pass reduces the edge cut while respecting a balance constraint.
 
 The result quality (balanced parts, low edge cut) is what Cluster-GCN
-needs; exact METIS parity is not required (see DESIGN.md).
+needs; exact METIS parity is not required.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,28 +141,47 @@ def _initial_partition(
     target = node_weight.sum() / k
     # Seeds: heaviest nodes first, so hubs anchor distinct regions.
     seed_order = list(np.argsort(-node_weight + rng.random(n) * 1e-9))
-    indptr, indices, data = adj.indptr, adj.indices, adj.data
+    # int64 ids: fancy indexing with scipy's int32 indices converts on every call.
+    indptr, indices, data = adj.indptr, adj.indices.astype(np.int64), adj.data
+    # Per node: the part whose frontier last took it in, its connection
+    # weight to that part, and its first-insertion rank in that frontier.
+    frontier_of = np.full(n, -1, dtype=np.int64)
+    conn = np.zeros(n)
+    rank = np.zeros(n, dtype=np.int64)
     for part in range(k):
         # Find an unassigned seed.
         while seed_order and assignment[seed_order[-1]] >= 0:
             seed_order.pop()
         if not seed_order:
             break
-        seed = seed_order.pop()
-        frontier: dict[int, float] = {int(seed): 0.0}
+        seed = int(seed_order.pop())
+        frontier_of[seed], conn[seed], rank[seed] = part, 0.0, 0
+        inserted = 1
+        # Lazy max-heap keyed (-connection, rank): among equally connected
+        # nodes the one that joined the frontier first is pulled first.
+        heap: list[tuple[float, int, int]] = [(-0.0, 0, seed)]
         weight = 0.0
-        while frontier and weight < target:
+        while heap and weight < target:
             # Pull the frontier node with the strongest connection to the part.
-            node = max(frontier, key=frontier.__getitem__)
-            del frontier[node]
+            _, _, node = heapq.heappop(heap)
             if assignment[node] >= 0:
+                # Connections only grow, so a node's newest (heaviest) entry
+                # always pops before its stale ones.
                 continue
             assignment[node] = part
             weight += node_weight[node]
-            for idx in range(indptr[node], indptr[node + 1]):
-                nbr = int(indices[idx])
-                if assignment[nbr] < 0:
-                    frontier[nbr] = frontier.get(nbr, 0.0) + float(data[idx])
+            lo, hi = indptr[node], indptr[node + 1]
+            nbrs = indices[lo:hi]
+            free = assignment[nbrs] < 0
+            nbrs = nbrs[free]
+            new = nbrs[frontier_of[nbrs] != part]
+            frontier_of[new], conn[new] = part, 0.0
+            rank[new] = np.arange(inserted, inserted + new.size)
+            inserted += new.size
+            # CSR rows list each neighbour once, so the fancy += is exact.
+            conn[nbrs] += data[lo:hi][free]
+            for entry in zip((-conn[nbrs]).tolist(), rank[nbrs].tolist(), nbrs.tolist()):
+                heapq.heappush(heap, entry)
     # Any stragglers (disconnected bits) go to the lightest part.
     part_weight = np.bincount(
         assignment[assignment >= 0], weights=node_weight[assignment >= 0], minlength=k
@@ -182,23 +202,22 @@ def _rebalance(
 ) -> None:
     """Push nodes out of overweight parts (in place) until all fit under ``cap``.
 
-    Moves prefer boundary nodes and the lightest adjacent part, falling back
-    to the globally lightest part, so the cut damage is bounded while balance
-    is restored unconditionally.
+    Each evicted node goes to the lightest adjacent part (lowest id among
+    equals), falling back to the globally lightest part, so the cut damage
+    is bounded while balance is restored unconditionally.
     """
     indptr, indices = adj.indptr, adj.indices
     for part in np.argsort(-part_weight):
         if part_weight[part] <= cap:
             break
-        candidates = np.flatnonzero(assignment == part)
-        # Boundary nodes first: they have somewhere natural to go.
-        for node in candidates:
+        for node in np.flatnonzero(assignment == part):
             if part_weight[part] <= cap:
                 break
-            nbr_parts = np.unique(assignment[indices[indptr[node]:indptr[node + 1]]])
+            nbr_parts = assignment[indices[indptr[node]:indptr[node + 1]]]
             nbr_parts = nbr_parts[nbr_parts != part]
             if nbr_parts.size:
-                dest = int(nbr_parts[np.argmin(part_weight[nbr_parts])])
+                load = part_weight[nbr_parts]
+                dest = int(nbr_parts[load == load.min()].min())
             else:
                 dest = int(np.argmin(part_weight))
             if dest == part:
@@ -216,44 +235,54 @@ def _refine(
     max_imbalance: float,
     passes: int = 4,
 ) -> np.ndarray:
-    """Boundary-move refinement: greedily move nodes to the adjacent part
-    with the highest cut-gain while keeping parts under the balance cap."""
+    """Boundary-move refinement: visit the boundary nodes in id order and move
+    each to the adjacent part with the highest cut-gain (ties to the part
+    first seen in neighbour order) while keeping parts under the balance cap.
+
+    Moves are sequential, so each node sees the moves made before it in the
+    pass.  Edge weights are integer-valued (collapsed multiplicities), so the
+    per-part connection sums are exact in any summation order.
+    """
     assignment = assignment.copy()
-    indptr, indices, data = adj.indptr, adj.indices, adj.data
+    n = adj.shape[0]
+    # int64 ids: fancy indexing with scipy's int32 indices converts on every call.
+    indptr, indices, data = adj.indptr, adj.indices.astype(np.int64), adj.data
     part_weight = np.bincount(assignment, weights=node_weight, minlength=k).astype(float)
     cap = max_imbalance * node_weight.sum() / k
     _rebalance(adj, node_weight, assignment, part_weight, cap)
+    src = np.repeat(np.arange(n), np.diff(indptr))
+    degree = np.bincount(src, weights=data, minlength=n)
     for _ in range(passes):
-        boundary = _boundary_nodes(adj, assignment)
+        inside = assignment[src] == assignment[indices]
+        boundary = np.flatnonzero(np.bincount(src[~inside], minlength=n))
+        internal = np.bincount(src[inside], weights=data[inside], minlength=n)
+        # No other part can hold more of a node's edge weight than its own
+        # part when its own holds half or more; that stays true until a
+        # neighbour moves, so such nodes are skipped until then.
+        stuck = degree - internal <= internal
+        touched = np.zeros(n, dtype=bool)
         moved = 0
-        for node in boundary:
+        for node in boundary.tolist():
+            if stuck[node] and not touched[node]:
+                continue
+            lo, hi = indptr[node], indptr[node + 1]
+            nbr_parts = assignment[indices[lo:hi]]
             here = assignment[node]
-            gains: dict[int, float] = {}
-            for idx in range(indptr[node], indptr[node + 1]):
-                gains[assignment[indices[idx]]] = (
-                    gains.get(assignment[indices[idx]], 0.0) + float(data[idx])
-                )
-            internal = gains.pop(here, 0.0)
-            best_part, best_gain = here, 0.0
-            for part, weight in gains.items():
-                gain = weight - internal
-                if gain > best_gain and part_weight[part] + node_weight[node] <= cap:
-                    best_part, best_gain = part, gain
-            if best_part != here:
-                part_weight[here] -= node_weight[node]
-                part_weight[best_part] += node_weight[node]
-                assignment[node] = best_part
-                moved += 1
+            gain = np.bincount(nbr_parts, weights=data[lo:hi], minlength=k)
+            gain -= gain[here]
+            best = (gain > 0) & (part_weight + node_weight[node] <= cap)
+            if not best.any():
+                continue
+            best &= gain == gain[best].max()
+            dest = nbr_parts[np.argmax(best[nbr_parts])]
+            part_weight[here] -= node_weight[node]
+            part_weight[dest] += node_weight[node]
+            assignment[node] = dest
+            touched[indices[lo:hi]] = True
+            moved += 1
         if not moved:
             break
     return assignment
-
-
-def _boundary_nodes(adj: sparse.csr_matrix, assignment: np.ndarray) -> np.ndarray:
-    """Nodes with at least one neighbor in a different part."""
-    src = np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr))
-    crossing = assignment[src] != assignment[adj.indices]
-    return np.unique(src[crossing])
 
 
 def partition_graph(
@@ -304,9 +333,9 @@ def partition_graph(
         coarsest.adj, coarsest.node_weight, assignment, num_parts, max_imbalance
     )
     # Project back through the hierarchy, refining where affordable.
-    for level in reversed(levels[1:]):
-        assignment = assignment[level.fine_to_coarse]
-        fine = levels[levels.index(level) - 1]
+    for i in range(len(levels) - 1, 0, -1):
+        assignment = assignment[levels[i].fine_to_coarse]
+        fine = levels[i - 1]
         if fine.adj.shape[0] <= _MAX_REFINE_NODES:
             assignment = _refine(
                 fine.adj, fine.node_weight, assignment, num_parts, max_imbalance

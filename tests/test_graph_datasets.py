@@ -109,6 +109,25 @@ class TestLoad:
         assert g.num_nodes == nodes
         assert g.num_edges == edges
 
+    @pytest.mark.parametrize(
+        "name,scale",
+        [
+            ("reddit", 0.005),
+            ("reddit", 0.01),
+            ("reddit", 0.02),
+            ("ppi", 0.05),
+            ("ppi", 0.1),
+            ("amazon2m", 0.004),
+        ],
+    )
+    def test_benchmark_and_default_scales_hit_edge_target(self, name, scale):
+        """The generator's 20 sampling rounds reach the edge target exactly at
+        the scales the benchmarks and defaults use (not at every scale:
+        reddit@0.05 ends 76 edges short)."""
+        nodes, edges, _ = get_dataset_spec(name).scaled(scale)
+        g = load_dataset(name, scale=scale, seed=0, with_features=False)
+        assert (g.num_nodes, g.num_edges) == (nodes, edges)
+
     def test_load_with_features(self):
         g = load_dataset("ppi", scale=0.01, seed=0)
         spec = get_dataset_spec("ppi")
