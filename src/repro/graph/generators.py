@@ -112,22 +112,19 @@ def powerlaw_community_graph(
         dst[cross] = rng.choice(nodes, size=int(cross.sum()), p=global_probs)
         intra = np.flatnonzero(~cross)
         src_comm = community[src[intra]]
-        # Group the intra-community draws by community; the stable sort keeps
-        # each group's positions ascending.
-        counts = np.bincount(src_comm, minlength=num_communities)
-        by_comm = np.split(intra[np.argsort(src_comm, kind="stable")], np.cumsum(counts)[:-1])
-        for c in np.flatnonzero(counts):
-            sel = by_comm[c]
+        for c in np.unique(src_comm):
+            sel = intra[src_comm == c]
             if members[c].size < 2:
                 # Degenerate community: fall back to a global partner.
                 dst[sel] = rng.choice(nodes, size=sel.size, p=global_probs)
             else:
                 dst[sel] = rng.choice(members[c], size=sel.size, p=member_probs[c])
-        loop = src == dst
-        lo = np.minimum(src, dst)[~loop]
-        hi = np.maximum(src, dst)[~loop]
+        keep = src != dst  # no self-loops
+        lo = np.minimum(src, dst)[keep]
+        hi = np.maximum(src, dst)[keep]
         # Merge only this round's distinct keys into the running set: linear
         # in the edges held, instead of re-deduplicating every edge each round.
+        # (sort + diff: NumPy 2's hash-based np.unique is far slower here.)
         fresh = np.sort(lo * np.int64(num_nodes) + hi)
         fresh = fresh[np.diff(fresh, prepend=-1) != 0]
         at = np.searchsorted(keys, fresh)

@@ -143,11 +143,6 @@ def _initial_partition(
     seed_order = list(np.argsort(-node_weight + rng.random(n) * 1e-9))
     # int64 ids: fancy indexing with scipy's int32 indices converts on every call.
     indptr, indices, data = adj.indptr, adj.indices.astype(np.int64), adj.data
-    # Per node: the part whose frontier last took it in, its connection
-    # weight to that part, and its first-insertion rank in that frontier.
-    frontier_of = np.full(n, -1, dtype=np.int64)
-    conn = np.zeros(n)
-    rank = np.zeros(n, dtype=np.int64)
     for part in range(k):
         # Find an unassigned seed.
         while seed_order and assignment[seed_order[-1]] >= 0:
@@ -155,10 +150,12 @@ def _initial_partition(
         if not seed_order:
             break
         seed = int(seed_order.pop())
-        frontier_of[seed], conn[seed], rank[seed] = part, 0.0, 0
-        inserted = 1
-        # Lazy max-heap keyed (-connection, rank): among equally connected
-        # nodes the one that joined the frontier first is pulled first.
+        # Connection weight to the part per frontier node, and the order in
+        # which nodes joined the frontier.  The lazy max-heap is keyed
+        # (-connection, rank): among equally connected nodes the one that
+        # joined first is pulled first.
+        frontier: dict[int, float] = {seed: 0.0}
+        rank: dict[int, int] = {seed: 0}
         heap: list[tuple[float, int, int]] = [(-0.0, 0, seed)]
         weight = 0.0
         while heap and weight < target:
@@ -173,15 +170,9 @@ def _initial_partition(
             lo, hi = indptr[node], indptr[node + 1]
             nbrs = indices[lo:hi]
             free = assignment[nbrs] < 0
-            nbrs = nbrs[free]
-            new = nbrs[frontier_of[nbrs] != part]
-            frontier_of[new], conn[new] = part, 0.0
-            rank[new] = np.arange(inserted, inserted + new.size)
-            inserted += new.size
-            # CSR rows list each neighbour once, so the fancy += is exact.
-            conn[nbrs] += data[lo:hi][free]
-            for entry in zip((-conn[nbrs]).tolist(), rank[nbrs].tolist(), nbrs.tolist()):
-                heapq.heappush(heap, entry)
+            for nbr, w in zip(nbrs[free].tolist(), data[lo:hi][free].tolist()):
+                total = frontier[nbr] = frontier.get(nbr, 0.0) + w
+                heapq.heappush(heap, (-total, rank.setdefault(nbr, len(rank)), nbr))
     # Any stragglers (disconnected bits) go to the lightest part.
     part_weight = np.bincount(
         assignment[assignment >= 0], weights=node_weight[assignment >= 0], minlength=k

@@ -1,4 +1,4 @@
-"""Differential test: the partitioner's refinement loops against scalar oracles.
+"""Differential test: the partitioner's inner loops against scalar oracles.
 
 The reference functions below are the original per-neighbour Python loops
 of ``repro.graph.partition`` (dict-based region growing, per-node
@@ -173,13 +173,12 @@ def weighted_graphs(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     block = rng.integers(0, k, n)
+    rows, cols = np.triu_indices(n, 1)
     if kind == "random":
         density = draw(st.sampled_from([0.0, 0.02, 0.08, 0.3]))
-        rows, cols = np.triu_indices(n, 1)
         keep = rng.random(rows.size) < density
         start = rng.integers(0, k, n)
     else:
-        rows, cols = np.triu_indices(n, 1)
         same = block[rows] == block[cols]
         keep = rng.random(rows.size) < np.where(same, 0.6, 0.03)
         start = block.copy()
