@@ -14,16 +14,17 @@ layer honest:
   ever fires inside the horizon) still turns the bookkeeping on:
   in-flight tracking, slowdown checks, the crashed-handle guard.  That
   bookkeeping may cost at most 1.10x the plain engine's wall time on
-  the same 10^5-request workload (measured best-of-3 both ways).
+  the same 10^5-request workload (the median ratio of interleaved ABBA
+  rounds, :func:`benchmarks.conftest.paired_ratio`).
 
-Results land in ``BENCH_serve.json`` at the repo root.
+Results are appended to ``.benchmarks/results.jsonl`` (group ``serve``).
 """
 
 from __future__ import annotations
 
-import time
+from functools import partial
 
-from benchmarks.conftest import record_bench
+from benchmarks.conftest import paired_ratio, record_bench
 from repro.serve.scenario import ServingScenario, simulate_serving_scenario
 from repro.serve.service import LinearServiceModel
 
@@ -54,12 +55,6 @@ INERT = ServingScenario(
 )
 
 
-def _timed(fn, *args, **kwargs) -> float:
-    t0 = time.perf_counter()
-    fn(*args, **kwargs)
-    return time.perf_counter() - t0
-
-
 def test_idle_fault_machinery_overhead(benchmark):
     """Acceptance: armed-but-idle faults <= 1.10x plain wall time."""
     plain_report = simulate_serving_scenario(PLAIN, service=SERVICE)
@@ -78,24 +73,23 @@ def test_idle_fault_machinery_overhead(benchmark):
         kwargs={"service": SERVICE},
         rounds=1, iterations=1,
     )
-    t_plain = min(
-        _timed(simulate_serving_scenario, PLAIN, service=SERVICE)
-        for _ in range(3)
+    timing = paired_ratio(
+        partial(simulate_serving_scenario, PLAIN, service=SERVICE),
+        partial(simulate_serving_scenario, INERT, service=SERVICE),
     )
-    t_inert = min(
-        _timed(simulate_serving_scenario, INERT, service=SERVICE)
-        for _ in range(3)
+    t_plain, t_inert, ratio = (
+        timing.baseline_seconds, timing.candidate_seconds, timing.ratio
     )
-    ratio = t_inert / t_plain
     plain_rate = plain_report.offered / t_plain
     inert_rate = inert_report.offered / t_inert
     print(
         f"\nplain {t_plain:.2f} s ({plain_rate / 1e3:.0f}k req/s), "
         f"armed-idle {t_inert:.2f} s ({inert_rate / 1e3:.0f}k req/s) "
-        f"-> {ratio:.3f}x"
+        f"-> {ratio:.3f}x "
+        f"(rounds {', '.join(f'{r:.3f}' for r in timing.ratios)})"
     )
     record_bench(
-        "BENCH_serve.json",
+        "serve",
         "idle_fault_machinery_overhead",
         {
             "requests": plain_report.offered,
@@ -106,6 +100,7 @@ def test_idle_fault_machinery_overhead(benchmark):
             "plain_requests_per_second": round(plain_rate),
             "armed_idle_requests_per_second": round(inert_rate),
             "overhead_ratio": round(ratio, 3),
+            "round_ratios": [round(r, 3) for r in timing.ratios],
         },
     )
     assert ratio <= 1.10

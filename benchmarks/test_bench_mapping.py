@@ -9,8 +9,7 @@ and must return the bit-identical best :class:`StageMap` — the speedup is
 pure accounting, not search drift.  The companion measurement times the
 vectorized numpy group-by traffic extraction against its scalar oracle.
 
-Results land in ``BENCH_mapping.json`` at the repo root so the perf
-trajectory stays tracked in-tree.
+Results are appended to ``.benchmarks/results.jsonl`` (group ``mapping``).
 """
 
 from __future__ import annotations
@@ -82,7 +81,7 @@ def test_incremental_annealer_speedup(benchmark):
         f"-> {speedup:.0f}x speedup"
     )
     record_bench(
-        "BENCH_mapping.json",
+        "mapping",
         "annealer",
         {
             "mesh": "8x8x3",
@@ -123,7 +122,7 @@ def test_traffic_extraction_speedup(benchmark):
         f"loop {t_loop * 1e3:.1f} ms -> {speedup:.1f}x speedup"
     )
     record_bench(
-        "BENCH_mapping.json",
+        "mapping",
         "traffic",
         {
             "dataset": "ppi@0.05",

@@ -5,21 +5,23 @@ Two promises keep the observability layer honest:
 * **Opt-out is free.**  The engine resolves a disabled recorder to *no
   recorder* before its event loop, so a run with the default
   :class:`~repro.obs.NullRecorder` must cost the same as one with no
-  recorder argument at all (<= 1.10x, measured best-of-3 both ways).
+  recorder argument at all (<= 1.10x, the median ratio of interleaved
+  ABBA rounds of at least 0.5 s each,
+  :func:`benchmarks.conftest.paired_ratio`).
 * **Opt-in is cheap.**  The P² backend answers p99 within 2% of the
   store-everything oracle on a million-sample stream while holding a
   constant few dozen floats.
 
-Results land in ``BENCH_obs.json`` at the repo root so the perf
-trajectory stays tracked in-tree.
+Results are appended to ``.benchmarks/results.jsonl`` (group ``obs``).
 """
 
 from __future__ import annotations
 
 import random
 import time
+from functools import partial
 
-from benchmarks.conftest import record_bench
+from benchmarks.conftest import paired_ratio, record_bench
 from repro.obs import MemoryTraceRecorder, NullRecorder, make_sketch
 from repro.serve.scenario import (
     ServingScenario,
@@ -61,30 +63,31 @@ def test_null_recorder_overhead(benchmark):
         kwargs={"service": service},
         rounds=1, iterations=1,
     )
-    t_plain = min(
-        _timed(simulate_serving_scenario, SCENARIO, service=service)
-        for _ in range(3)
+    timing = paired_ratio(
+        partial(simulate_serving_scenario, SCENARIO, service=service),
+        lambda: simulate_serving_scenario(
+            SCENARIO, service=service, recorder=NullRecorder()
+        ),
     )
-    t_null = min(
-        _timed(
-            simulate_serving_scenario, SCENARIO, service=service,
-            recorder=NullRecorder(),
-        )
-        for _ in range(3)
+    t_plain, t_null, ratio = (
+        timing.baseline_seconds, timing.candidate_seconds, timing.ratio
     )
-    ratio = t_null / t_plain
     print(
         f"\nuntraced {t_plain * 1e3:.1f} ms, NullRecorder "
-        f"{t_null * 1e3:.1f} ms -> {ratio:.3f}x"
+        f"{t_null * 1e3:.1f} ms -> {ratio:.3f}x "
+        f"({timing.repeats} runs a sample; rounds "
+        f"{', '.join(f'{r:.3f}' for r in timing.ratios)})"
     )
     record_bench(
-        "BENCH_obs.json",
+        "obs",
         "null_recorder",
         {
             "scenario": SCENARIO.display_label,
             "plain_seconds": round(t_plain, 4),
             "null_recorder_seconds": round(t_null, 4),
             "overhead_ratio": round(ratio, 3),
+            "runs_per_sample": timing.repeats,
+            "round_ratios": [round(r, 3) for r in timing.ratios],
         },
     )
     assert ratio <= 1.10
@@ -117,7 +120,7 @@ def test_p2_accuracy_at_scale(benchmark):
         + f"  state {sketch.state_size} vs {oracle.state_size} floats"
     )
     record_bench(
-        "BENCH_obs.json",
+        "obs",
         "p2_accuracy",
         {
             "samples": n,

@@ -12,19 +12,19 @@ honest:
 * **Typed fleets are cheap.**  Per-type billing is accrued lazily on
   occupancy transitions rather than per event, so a heterogeneous fleet
   with size-affinity routing may cost at most 1.25x the homogeneous
-  wall time on the same 10^5-request workload (measured best-of-3 both
-  ways).
+  wall time on the same 10^5-request workload (the median ratio of
+  interleaved ABBA rounds, :func:`benchmarks.conftest.paired_ratio`).
 
-Results land in ``BENCH_serve.json`` at the repo root.
+Results are appended to ``.benchmarks/results.jsonl`` (group ``serve``).
 """
 
 from __future__ import annotations
 
-import time
+from functools import partial
 
 import pytest
 
-from benchmarks.conftest import record_bench
+from benchmarks.conftest import paired_ratio, record_bench
 from repro.serve.scenario import ServingScenario, simulate_serving_scenario
 from repro.serve.service import LinearServiceModel
 
@@ -51,12 +51,6 @@ HOM = ServingScenario(instances=4, **_BASE)
 HET = ServingScenario(fleet="small:3,large:1", routing="size_affinity", **_BASE)
 
 
-def _timed(fn, *args, **kwargs) -> float:
-    t0 = time.perf_counter()
-    fn(*args, **kwargs)
-    return time.perf_counter() - t0
-
-
 def test_typed_fleet_event_rate(benchmark):
     """Acceptance: het fleet <= 1.25x hom wall time at 10^5 requests."""
     hom_report = simulate_serving_scenario(HOM, service=SERVICE)
@@ -74,23 +68,22 @@ def test_typed_fleet_event_rate(benchmark):
         kwargs={"service": SERVICE},
         rounds=1, iterations=1,
     )
-    t_hom = min(
-        _timed(simulate_serving_scenario, HOM, service=SERVICE)
-        for _ in range(3)
+    timing = paired_ratio(
+        partial(simulate_serving_scenario, HOM, service=SERVICE),
+        partial(simulate_serving_scenario, HET, service=SERVICE),
     )
-    t_het = min(
-        _timed(simulate_serving_scenario, HET, service=SERVICE)
-        for _ in range(3)
+    t_hom, t_het, ratio = (
+        timing.baseline_seconds, timing.candidate_seconds, timing.ratio
     )
-    ratio = t_het / t_hom
     hom_rate = hom_report.offered / t_hom
     het_rate = het_report.offered / t_het
     print(
         f"\nhom {t_hom:.2f} s ({hom_rate / 1e3:.0f}k req/s), "
-        f"het {t_het:.2f} s ({het_rate / 1e3:.0f}k req/s) -> {ratio:.3f}x"
+        f"het {t_het:.2f} s ({het_rate / 1e3:.0f}k req/s) -> {ratio:.3f}x "
+        f"(rounds {', '.join(f'{r:.3f}' for r in timing.ratios)})"
     )
     record_bench(
-        "BENCH_serve.json",
+        "serve",
         "typed_fleet_event_rate",
         {
             "requests": hom_report.offered,
@@ -102,6 +95,7 @@ def test_typed_fleet_event_rate(benchmark):
             "hom_requests_per_second": round(hom_rate),
             "het_requests_per_second": round(het_rate),
             "overhead_ratio": round(ratio, 3),
+            "round_ratios": [round(r, 3) for r in timing.ratios],
         },
     )
     assert ratio <= 1.25

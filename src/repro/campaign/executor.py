@@ -11,10 +11,12 @@ bit-identical.
 
 The executor knows no scenario kind.  Each scenario type supplies
 ``content_key(base_config)`` (its store key), ``evaluate(key,
-base_config)`` (the leaf evaluator, run in the worker) and
+base_config, store)`` (the leaf evaluator, run in the worker) and
 ``record_type`` (whose ``from_dict`` revives a stored payload): the
 architecture :class:`~repro.campaign.spec.Scenario` and the serving
-layer's ``ServingScenario`` both do.
+layer's ``ServingScenario`` both do.  The store handed to ``evaluate``
+lets an architecture scenario reuse its workload's graph and partition
+from the store's workload archives; serving scenarios ignore it.
 
 Determinism: every scenario carries its own seed (part of its content
 hash), and each evaluation builds its workload and mapping from that seed
@@ -99,15 +101,17 @@ def run_scenarios(
 
     A stored record is revived with the scenario's current display label;
     misses run through ``scenario.evaluate`` — inline, or across a process
-    pool — and are persisted by this parent, so workers never touch the
-    store.
+    pool — and their records are persisted by this parent, so workers
+    never write a record.  Workers do share the store's workload archives
+    through disk.
 
     Args:
         scenarios: evaluation points, already labelled and seeded (any
             scenario type with the executor contract, see module doc).
         base_config: architecture every scenario's overrides apply to.
         jobs: worker processes for cache misses (``1`` runs inline).
-        store: result cache; ``None`` disables persistence entirely.
+        store: result and workload cache; ``None`` disables persistence
+            entirely.
         name: campaign name carried into the result.
         on_event: :class:`ProgressEvent` callback (start events, hit vs
             computed tallies, ETA).
@@ -166,13 +170,16 @@ def run_scenarios(
         if jobs == 1 or not pending:
             for i in pending:
                 emit("started", i)
-                yield i, scenarios[i].evaluate(keys[i], base_config)
+                yield i, scenarios[i].evaluate(keys[i], base_config, store)
             return
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {}
             for i in pending:
                 emit("started", i)
-                futures[pool.submit(scenarios[i].evaluate, keys[i], base_config)] = i
+                future = pool.submit(
+                    scenarios[i].evaluate, keys[i], base_config, store
+                )
+                futures[future] = i
             for future in as_completed(futures):
                 yield futures[future], future.result()
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any, ClassVar
 
 from repro.campaign.results import ScenarioRecord
+from repro.campaign.store import ResultStore
 from repro.core.accelerator import ReGraphX
 from repro.core.config import ReGraphXConfig
 from repro.core.thermal import ThermalModel, tier_powers_from_report
@@ -215,13 +216,17 @@ class Scenario:
         )
 
     def evaluate(
-        self, key: str, base_config: ReGraphXConfig | None = None
+        self,
+        key: str,
+        base_config: ReGraphXConfig | None = None,
+        store: ResultStore | None = None,
     ) -> ScenarioRecord:
         """Evaluate end to end (timing, energy, thermals) into a record.
 
         The leaf evaluator: the executor calls it inline or in a worker
         process (scenarios pickle), and it honours the multicast/SA flags
-        and the batch-size override.
+        and the batch-size override.  With a ``store``, the workload's
+        graph and partition come from (or go to) its workload archives.
         """
         start = time.perf_counter()
         accelerator = ReGraphX(self.to_config(base_config))
@@ -230,6 +235,7 @@ class Scenario:
             scale=self.effective_scale,
             seed=self.seed,
             batch_size=self.batch_size,
+            cache_dir=store.workloads_dir if store is not None else None,
         )
         report = accelerator.evaluate(
             workload,

@@ -1,12 +1,25 @@
 """Content-addressed result store backing campaign runs.
 
-Records live under ``<root>/campaigns/<key[:2]>/<key>.json`` where ``key``
-is the SHA-256 of the scenario's canonical content (materialized
-architecture config + workload knobs + seed + evaluation flags + schema
-version — see :meth:`repro.campaign.spec.Scenario.content_key`; serving
-scenarios hash their own knobs the same way).  Identical scenarios
-therefore hit the same file across campaigns, processes and sessions; any
-model change that should invalidate results bumps the schema version.
+The store root holds two kinds of entry::
+
+    <root>/campaigns/<key[:2]>/<key>.json   one scenario record
+    <root>/workloads/<key[:2]>/<key>.npz    one graph + its partition
+
+A record's ``key`` is the SHA-256 of the scenario's canonical content
+(materialized architecture config + workload knobs + seed + evaluation
+flags + schema version — see
+:meth:`repro.campaign.spec.Scenario.content_key`; serving scenarios hash
+their own knobs the same way).  Identical scenarios therefore hit the
+same file across campaigns, processes and sessions; any model change that
+should invalidate results bumps the schema version.
+
+A workload archive's key is :func:`repro.core.accelerator.workload_key`:
+dataset, scale, seed and partition count, with no architecture in it, so
+every scenario that differs only in the chip loads one generated graph
+and one partition instead of rebuilding them.  Evaluations (in the parent
+or in pool workers) read and write the archives themselves;
+``len``/``keys``/``get``/``put``/``prune`` see records only, and
+:meth:`ResultStore.clear` deletes both kinds.
 """
 
 from __future__ import annotations
@@ -29,6 +42,11 @@ class ResultStore:
     @property
     def campaigns_dir(self) -> Path:
         return self.root / "campaigns"
+
+    @property
+    def workloads_dir(self) -> Path:
+        """Where evaluations keep their workload archives."""
+        return self.root / "workloads"
 
     def path_for(self, key: str) -> Path:
         return self.campaigns_dir / key[:2] / f"{key}.json"
@@ -72,30 +90,36 @@ class ResultStore:
         return sorted(p.stem for p in self.campaigns_dir.glob("*/*.json"))
 
     def clear(self) -> int:
-        """Delete every stored record; returns how many were removed."""
+        """Delete every record and workload archive; returns the records removed.
+
+        The archives go too: a cleared cache must rebuild every graph and
+        partition, not serve ones an older model wrote.
+        """
         removed = 0
         for path in list(self.campaigns_dir.glob("*/*.json")):
             path.unlink()
             removed += 1
+        for path in list(self.workloads_dir.glob("*/*.npz")):
+            path.unlink(missing_ok=True)
         return removed
 
     def size_report(self) -> dict[str, int]:
-        """``{"entries": N, "total_bytes": B}`` for everything stored.
+        """Counts and bytes of the stored records and workload archives.
 
-        Long serving sweeps can accumulate thousands of records; this is
-        the cheap way to see how big ``.repro_cache/`` has grown before
+        ``{"entries": N, "total_bytes": B}`` covers the scenario records;
+        ``"workloads"`` and ``"workload_bytes"`` the archives.  Long
+        serving sweeps can accumulate thousands of records; this is the
+        cheap way to see how big ``.repro_cache/`` has grown before
         deciding what :meth:`prune` budget to apply.
         """
-        entries = 0
-        total = 0
-        if self.campaigns_dir.is_dir():
-            for path in self.campaigns_dir.glob("*/*.json"):
-                try:
-                    total += path.stat().st_size
-                except OSError:
-                    continue  # racing deletion; skip
-                entries += 1
-        return {"entries": entries, "total_bytes": total}
+        entries, total = _tally(self.campaigns_dir, "*/*.json")
+        workloads, workload_bytes = _tally(self.workloads_dir, "*/*.npz")
+        return {
+            "entries": entries,
+            "total_bytes": total,
+            "workloads": workloads,
+            "workload_bytes": workload_bytes,
+        }
 
     def prune(self, max_entries: int) -> int:
         """Evict least-recently-used records down to ``max_entries``.
@@ -126,3 +150,17 @@ class ResultStore:
                 continue
             removed += 1
         return removed
+
+
+def _tally(directory: Path, pattern: str) -> tuple[int, int]:
+    """(files, bytes) matching ``pattern`` under ``directory``."""
+    count = 0
+    total = 0
+    if directory.is_dir():
+        for path in directory.glob(pattern):
+            try:
+                total += path.stat().st_size
+            except OSError:
+                continue  # racing deletion; skip
+            count += 1
+    return count, total

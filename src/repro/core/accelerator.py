@@ -7,7 +7,10 @@ is composed here into the numbers the paper reports.
 
 from __future__ import annotations
 
+import zipfile
+import zlib
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro.core.config import ReGraphXConfig
 from repro.core.mapping import StageMap, anneal_mapping, contiguous_mapping
@@ -16,10 +19,25 @@ from repro.core.traffic import GNNTrafficModel
 from repro.graph.clustering import ClusterBatcher
 from repro.graph.datasets import DatasetSpec, get_dataset_spec, load_dataset
 from repro.graph.graph import CSRGraph
-from repro.graph.partition import PartitionResult, partition_graph
+from repro.graph.io import load_workload, save_workload
+from repro.graph.partition import (
+    DEFAULT_MAX_IMBALANCE,
+    PartitionResult,
+    partition_graph,
+)
 from repro.noc.schedule import ScheduleResult, StaticScheduler
 from repro.reram.energy import EnergyModel
 from repro.reram.sparse_mapping import BlockMapping, block_tile_adjacency
+from repro.utils.hashing import stable_digest
+
+#: Bump when graph generation or partitioning changes its output: the
+#: version is part of every workload archive's key, so archives written by
+#: older code are never found again.
+WORKLOAD_SCHEMA = 1
+
+#: What reading an absent, truncated or foreign workload archive raises.
+_ARCHIVE_ERRORS = (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile,
+                   zlib.error)
 
 
 @dataclass
@@ -108,6 +126,26 @@ class ReGraphXReport:
         return self.pipeline.worst_communication
 
 
+def workload_key(dataset: str, scale: float, seed: int, num_parts: int) -> str:
+    """Content hash of one generated graph and its partition.
+
+    It covers every argument of the two calls that make them
+    (``load_dataset`` and ``partition_graph``) and nothing of the
+    architecture, so scenarios that differ only in the chip share one
+    archive.
+    """
+    return stable_digest(
+        {
+            "schema": WORKLOAD_SCHEMA,
+            "dataset": dataset,
+            "scale": float(scale),
+            "seed": seed,
+            "num_parts": num_parts,
+            "max_imbalance": DEFAULT_MAX_IMBALANCE,
+        }
+    )
+
+
 class ReGraphX:
     """The accelerator model: one instance per architecture configuration."""
 
@@ -129,6 +167,7 @@ class ReGraphX:
         batch_size: int | None = None,
         graph: CSRGraph | None = None,
         partition: PartitionResult | None = None,
+        cache_dir: str | Path | None = None,
     ) -> Workload:
         """Prepare a dataset for evaluation.
 
@@ -139,18 +178,33 @@ class ReGraphX:
             batch_size: beta; defaults to the paper's per-dataset choice.
             graph: optionally reuse an already-generated graph.
             partition: optionally reuse an existing partition.
+            cache_dir: directory of workload archives.  When neither
+                ``graph`` nor ``partition`` is given, the generated graph
+                and its partition are read from the archive under
+                :func:`workload_key`, or built and written there.
+                Batching always runs here, per call.
         """
         spec = dataset if isinstance(dataset, DatasetSpec) else get_dataset_spec(dataset)
         beta = batch_size if batch_size is not None else spec.batch_size
         if beta < 1:
             raise ValueError(f"batch size must be >= 1, got {beta}")
-        if graph is None:
-            graph = load_dataset(spec.name, scale=scale, seed=seed, with_features=False)
         _, _, num_parts = spec.scaled(scale)
         num_parts = max(num_parts, beta)
         num_parts -= num_parts % beta or 0
+        archive = None
+        if cache_dir is not None and graph is None and partition is None:
+            key = workload_key(spec.name, scale, seed, num_parts)
+            archive = Path(cache_dir) / key[:2] / f"{key}.npz"
+            try:
+                graph, partition = load_workload(archive)
+            except _ARCHIVE_ERRORS:
+                pass  # absent, truncated or old: rebuild and overwrite
+        if graph is None:
+            graph = load_dataset(spec.name, scale=scale, seed=seed, with_features=False)
         if partition is None:
             partition = partition_graph(graph, num_parts, seed=seed)
+            if archive is not None:
+                save_workload(graph, partition, archive)
         batcher = ClusterBatcher(graph, partition, beta, seed=seed)
         rep = batcher.epoch()[0].subgraph
         mapping = block_tile_adjacency(rep, self.config.e_tile.crossbar_size)

@@ -34,6 +34,8 @@ _MIN_COARSEST = 256
 # Refinement is applied only to levels at most this large (the finest levels
 # of very large graphs are projected without refinement for speed).
 _MAX_REFINE_NODES = 60_000
+#: Default balance bound of :func:`partition_graph` (max part / ideal size).
+DEFAULT_MAX_IMBALANCE = 1.1
 
 
 @dataclass(frozen=True)
@@ -280,7 +282,7 @@ def partition_graph(
     graph: CSRGraph,
     num_parts: int,
     seed: int | np.random.Generator | None = 0,
-    max_imbalance: float = 1.1,
+    max_imbalance: float = DEFAULT_MAX_IMBALANCE,
 ) -> PartitionResult:
     """Partition ``graph`` into ``num_parts`` balanced parts (METIS-style).
 

@@ -472,9 +472,16 @@ class ServingScenario:
         return stable_digest(payload)
 
     def evaluate(
-        self, key: str, base_config: ReGraphXConfig | None = None
+        self,
+        key: str,
+        base_config: ReGraphXConfig | None = None,
+        store: Any = None,
     ) -> ServingRecord:
-        """Leaf evaluator: simulate once, without touching the store."""
+        """Leaf evaluator: simulate once, without touching the store.
+
+        ``store`` is accepted for the executor contract and ignored: the
+        service calibration is already shared in-process.
+        """
         return run_serving_scenario(self, key=key)
 
     # ------------------------------------------------------------------

@@ -6,9 +6,12 @@ handful of evaluations.  The executor runs serving scenarios through the
 same path; ``TestBothKinds`` drives one of each against one store.
 """
 
+import dataclasses
 import json
 
 import pytest
+
+from repro.core import accelerator
 
 from repro.campaign.executor import ProgressEvent, run_campaign, run_scenarios
 from repro.campaign.results import ScenarioRecord
@@ -237,3 +240,104 @@ class TestBothKinds:
             assert [r.metrics() for r in parallel.records] == [
                 r.metrics() for r in serial.records
             ]
+
+
+def _comparable(record):
+    """A record's content, without the fields that differ run to run."""
+    data = dataclasses.asdict(record)
+    for volatile in ("cached", "eval_seconds"):
+        data.pop(volatile)
+    return data
+
+
+@pytest.fixture(scope="module")
+def uncached_run():
+    return run_scenarios(SCENARIOS, store=None, name="exec-test")
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts the graph generations and partitions every evaluation pays."""
+    calls = {"load_dataset": 0, "partition_graph": 0}
+    for name in calls:
+        original = getattr(accelerator, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(accelerator, name, counted)
+    return calls
+
+
+class TestWorkloadCache:
+    """Scenarios on one workload share one archived graph and partition."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_records_identical_with_and_without_store(
+        self, uncached_run, tmp_path, jobs
+    ):
+        store = ResultStore(tmp_path)
+        cached = run_scenarios(SCENARIOS, jobs=jobs, store=store, name="exec-test")
+        assert cached.misses == len(SCENARIOS)
+        assert [_comparable(r) for r in cached.records] == [
+            _comparable(r) for r in uncached_run.records
+        ]
+        # Three scenarios, one workload: one archive.
+        assert store.size_report()["workloads"] == 1
+        assert len(store) == len(SCENARIOS)
+
+    def test_other_architectures_reuse_the_partition(self, tmp_path, builds):
+        store = ResultStore(tmp_path)
+        run_scenarios(SCENARIOS[:1], store=store)
+        assert builds == {"load_dataset": 1, "partition_graph": 1}
+        spec = CampaignSpec(
+            name="other-chips",
+            base=Scenario(dataset="ppi", scale=0.05),
+            axes=(
+                ("mesh_width", (6, 10)),
+                ("tiers", (4,)),
+                ("multicast", (True, False)),
+            ),
+        )
+        result = run_campaign(spec, store=store)
+        assert (result.hits, result.misses) == (0, len(spec))
+        assert builds == {"load_dataset": 1, "partition_graph": 1}
+
+    def test_truncated_archive_is_rebuilt(self, uncached_run, tmp_path, builds):
+        store = ResultStore(tmp_path)
+        run_scenarios(SCENARIOS[:1], store=store)
+        (archive,) = store.workloads_dir.glob("*/*.npz")
+        whole = archive.read_bytes()
+        archive.write_bytes(whole[: len(whole) // 2])
+        store.path_for(SCENARIOS[0].content_key()).unlink()
+
+        again = run_scenarios(SCENARIOS[:1], store=store)
+        assert again.misses == 1
+        assert builds["partition_graph"] == 2
+        assert archive.read_bytes() == whole
+        assert _comparable(again.records[0]) == _comparable(
+            uncached_run.records[0]
+        )
+
+    def test_key_covers_every_build_argument(self, monkeypatch):
+        base = dict(dataset="ppi", scale=0.05, seed=0, num_parts=10)
+        key = accelerator.workload_key(**base)
+        for field, value in (
+            ("dataset", "reddit"), ("scale", 0.02), ("seed", 1), ("num_parts", 8),
+        ):
+            assert accelerator.workload_key(**{**base, field: value}) != key
+        monkeypatch.setattr(accelerator, "WORKLOAD_SCHEMA", accelerator.WORKLOAD_SCHEMA + 1)
+        assert accelerator.workload_key(**base) != key
+
+    def test_batch_size_reaches_the_key_through_the_part_count(self, tmp_path):
+        chip = accelerator.ReGraphX()
+        # ppi@0.05 cuts 10 parts at the paper's beta of 5, and 8 at beta 4.
+        for beta in (5, 4, 2):
+            chip.build_workload("ppi", scale=0.05, batch_size=beta, cache_dir=tmp_path)
+        assert len(list(tmp_path.glob("*/*.npz"))) == 2
+
+    def test_serving_scenarios_ignore_the_store(self, tmp_path):
+        store = ResultStore(tmp_path)
+        run_campaign(TestBothKinds.SERVING, store=store)
+        assert store.size_report()["workloads"] == 0

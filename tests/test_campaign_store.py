@@ -105,6 +105,29 @@ class TestResultStore:
         assert store.clear() == 3
         assert len(store) == 0
 
+    def test_clear_deletes_workload_archives(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put("00" + "3" * 62, {})
+        archive = store.workloads_dir / "ab" / ("ab" + "4" * 62 + ".npz")
+        archive.parent.mkdir(parents=True)
+        archive.write_bytes(b"graph")
+        # The count is of records; the archive goes with them.
+        assert store.clear() == 1
+        assert not archive.exists()
+        assert store.size_report()["workloads"] == 0
+
+    def test_archives_are_not_records(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put("00" + "3" * 62, {})
+        archive = store.workloads_dir / "ab" / ("ab" + "4" * 62 + ".npz")
+        archive.parent.mkdir(parents=True)
+        archive.write_bytes(b"graph")
+        assert len(store) == 1
+        assert store.keys() == ["00" + "3" * 62]
+        assert store.get("ab" + "4" * 62) is None
+        assert store.prune(0) == 1
+        assert archive.exists()
+
     def test_empty_store(self, tmp_path):
         store = ResultStore(tmp_path / "nowhere")
         assert len(store) == 0
@@ -125,13 +148,20 @@ class TestPruneAndSize:
     def test_size_report_counts_entries_and_bytes(self, tmp_path):
         store = ResultStore(tmp_path)
         self.fill(store, 4)
+        archive = store.workloads_dir / "ab" / ("ab" + "4" * 62 + ".npz")
+        archive.parent.mkdir(parents=True)
+        archive.write_bytes(b"x" * 100)
         report = store.size_report()
         assert report["entries"] == 4
         assert report["total_bytes"] > 0
+        assert report["workloads"] == 1
+        assert report["workload_bytes"] == 100
 
     def test_size_report_empty(self, tmp_path):
         report = ResultStore(tmp_path / "nowhere").size_report()
-        assert report == {"entries": 0, "total_bytes": 0}
+        assert report == {
+            "entries": 0, "total_bytes": 0, "workloads": 0, "workload_bytes": 0,
+        }
 
     def test_prune_evicts_oldest_first(self, tmp_path):
         store = ResultStore(tmp_path)

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from repro.graph.generators import powerlaw_community_graph, rmat_graph
-from repro.graph.io import load_graph, load_partition, save_graph, save_partition
+from repro.graph.io import (
+    load_graph,
+    load_partition,
+    load_workload,
+    save_graph,
+    save_partition,
+    save_workload,
+)
 from repro.graph.partition import partition_graph
 
 
@@ -49,6 +56,32 @@ class TestGraphIO:
         loaded = load_graph(path)
         result = partition_graph(loaded, 4, seed=0)
         assert result.num_parts == 4
+
+
+    def test_workload_roundtrip_is_one_archive(
+        self, small_graph, small_partition, tmp_path
+    ):
+        path = tmp_path / "ab" / "w.npz"
+        save_workload(small_graph, small_partition, path)
+        assert [p.name for p in path.parent.iterdir()] == ["w.npz"]
+        graph, partition = load_workload(path)
+        assert np.array_equal(graph.indptr, small_graph.indptr)
+        assert np.array_equal(graph.indices, small_graph.indices)
+        assert np.array_equal(graph.community, small_graph.community)
+        assert np.array_equal(partition.assignment, small_partition.assignment)
+        assert np.array_equal(partition.part_sizes, small_partition.part_sizes)
+        assert partition.edge_cut == small_partition.edge_cut
+        assert partition.imbalance == small_partition.imbalance
+
+    def test_wrong_version_rejected(self, small_graph, small_partition, tmp_path):
+        path = tmp_path / "w.npz"
+        save_workload(small_graph, small_partition, path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["part_version"] = np.array([99])
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(ValueError, match="partition archive version 99"):
+            load_workload(path)
 
 
 class TestRMAT:
